@@ -1,8 +1,9 @@
 // Command hrmcd is the multi-group H-RMC daemon: one process serving
 // many concurrent reliable-multicast transfers — senders and receivers
 // across independent groups — over a single internal/session driver
-// (one 10 ms tick loop, one receive loop per UDP socket, an optional
-// aggregate bandwidth budget shared fairly among the sending flows).
+// (one deadline-driven timer loop on a 1 ms clock grain, one receive
+// loop per UDP socket, an optional aggregate bandwidth budget shared
+// fairly among the sending flows).
 //
 // Flows are admitted through the internal/control plane. The JSON
 // config file is only the initial state; with -listen (or "listen" in
@@ -50,8 +51,11 @@ import (
 // Config is the daemon's JSON configuration — the initial control-plane
 // state.
 type Config struct {
-	// TickMS is the shared driver tick in milliseconds (default 10,
-	// one kernel jiffy).
+	// TickMS is the session's clock grain in milliseconds: every flow
+	// counts the paper's jiffy-denominated timers in it, and the timer
+	// loop wakes on its boundaries only when a flow is due. Zero or
+	// absent selects the session default (1 ms); 10 is the paper's
+	// jiffy.
 	TickMS int `json:"tick_ms"`
 	// BudgetMbps, when positive, caps the aggregate send rate of all
 	// sending groups, in megabits/second; the demand-aware fair-share
@@ -102,7 +106,7 @@ type Config struct {
 }
 
 const exampleConfig = `{
-  "tick_ms": 10,
+  "tick_ms": 1,
   "budget_mbps": 50,
   "stats_every_sec": 5,
   "loopback": true,
@@ -164,7 +168,7 @@ func main() {
 }
 
 func loadConfig(path string) (*Config, error) {
-	cfg := &Config{TickMS: 10, StatsEverySec: 5}
+	cfg := &Config{StatsEverySec: 5}
 	if path == "" {
 		return cfg, nil
 	}

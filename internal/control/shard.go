@@ -11,6 +11,7 @@ package control
 import (
 	"errors"
 	"hash/fnv"
+	"sync"
 
 	"repro/internal/transport"
 )
@@ -18,8 +19,15 @@ import (
 // ShardedDialer admits flows onto a fixed set of shared group
 // transports, choosing the shard by FNV-1a hash of the group name so a
 // group's sender and receivers in one daemon always share a shard.
+// Each shard counts the admitted flows using each group; the group's
+// membership is dropped (GroupTransport.Leave) when the last of them is
+// released, so a daemon admitting fresh groups indefinitely never runs
+// into the kernel's per-socket membership limit (igmp_max_memberships).
 type ShardedDialer struct {
 	shards []transport.GroupTransport
+
+	mu   sync.Mutex
+	refs []map[transport.GroupID]int // per shard: flows using each group
 }
 
 // NewShardedDialer wraps the given shard transports. The dialer does
@@ -29,7 +37,11 @@ func NewShardedDialer(shards []transport.GroupTransport) (*ShardedDialer, error)
 	if len(shards) == 0 {
 		return nil, errors.New("control: sharded dialer needs at least one shard")
 	}
-	return &ShardedDialer{shards: shards}, nil
+	refs := make([]map[transport.GroupID]int, len(shards))
+	for i := range refs {
+		refs[i] = make(map[transport.GroupID]int)
+	}
+	return &ShardedDialer{shards: shards, refs: refs}, nil
 }
 
 // shardOf maps a group name onto a shard index by FNV-1a.
@@ -42,25 +54,48 @@ func shardOf(group string, n int) int {
 // Dial implements Dialer: receivers join the group (membership +
 // traffic), senders only register it (addressing without membership,
 // so a pure sender receives no cross-sender chatter). The returned
-// link is shared — admission failures must not close the shard.
+// link is shared — admission failures must not close the shard — and
+// its Release gives the flow's use of the group back.
 func (d *ShardedDialer) Dial(spec FlowSpec) (Link, error) {
-	tr := d.shards[shardOf(spec.Group, len(d.shards))]
+	i := shardOf(spec.Group, len(d.shards))
+	tr := d.shards[i]
 	var (
 		gid transport.GroupID
 		err error
 	)
+	// The count and the membership change together, so a release racing
+	// this admission cannot drop the membership the admission relies on.
+	d.mu.Lock()
 	if spec.Role == RoleRecv {
 		gid, err = tr.Join(spec.Group)
 	} else {
 		gid, err = tr.Register(spec.Group)
 	}
+	if err == nil {
+		d.refs[i][gid]++
+	}
+	d.mu.Unlock()
 	if err != nil {
 		return Link{}, err
 	}
+	var once sync.Once
+	release := func() { once.Do(func() { d.release(i, gid) }) }
 	// AsTransport is a no-op for shard transports that already expose
 	// the per-packet surface (udpmcast's does); otherwise it narrows the
 	// batch interface for the session to re-widen with Batched.
-	return Link{Transport: transport.AsTransport(tr), Group: gid, Shared: true}, nil
+	return Link{Transport: transport.AsTransport(tr), Group: gid, Shared: true, Release: release}, nil
+}
+
+// release drops one flow's use of gid on shard i, leaving the group
+// when no admitted flow uses it any more.
+func (d *ShardedDialer) release(i int, gid transport.GroupID) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.refs[i][gid]--; d.refs[i][gid] > 0 {
+		return
+	}
+	delete(d.refs[i], gid)
+	_ = d.shards[i].Leave(gid)
 }
 
 // Shards returns the number of shard transports.

@@ -30,7 +30,8 @@ import (
 	"repro/internal/transport"
 )
 
-// TickInterval is the wall-clock transmit/timer tick, one kernel jiffy.
+// TickInterval is the clock grain of a core connection's session: its
+// machines count the paper's jiffy-denominated timers in it.
 const TickInterval = session.DefaultTickInterval
 
 // ErrAborted is returned by operations on an aborted connection.

@@ -6,11 +6,14 @@
 // urgent rate request, after which transmission restarts from the minimum
 // rate in slow start.
 //
-// The controller doubles as the transmitter's token bucket: the per-jiffy
-// transmit timer asks for an allowance and spends it as packets go out.
+// The controller doubles as the transmitter's token bucket: the transmit
+// timer asks for an allowance each grain and spends it as packets go out.
 package rate
 
-import "repro/internal/sim"
+import (
+	"repro/internal/kernel"
+	"repro/internal/sim"
+)
 
 // Phase is the congestion-control phase.
 type Phase int
@@ -46,11 +49,14 @@ type Config struct {
 	MaxRate float64
 	// MSS is the segment payload size, used for the linear increase.
 	MSS int
+	// Grain is the transmit timer's clock grain; the token bucket holds
+	// at most two grains of the current rate. Zero means kernel.Jiffy.
+	Grain sim.Time
 }
 
 // DefaultConfig mirrors the kernel implementation: the minimum rate is
-// one segment per jiffy — a 10 ms-tick transmitter cannot pace slower
-// without skipping ticks — and the ceiling is 1 Gb/s (effectively
+// one segment per 10 ms jiffy — the paper's transmitter cannot pace
+// slower without skipping ticks — and the ceiling is 1 Gb/s (effectively
 // uncapped; the network limits throughput).
 func DefaultConfig() Config {
 	return Config{MinRate: 140e3, MaxRate: 125e6, MSS: 1400}
@@ -65,6 +71,9 @@ func (c *Config) sanitize() {
 	}
 	if c.MaxRate < c.MinRate {
 		c.MaxRate = c.MinRate
+	}
+	if c.Grain <= 0 {
+		c.Grain = kernel.Jiffy
 	}
 }
 
@@ -162,7 +171,7 @@ func (c *Controller) SetCeiling(max float64) {
 
 // MaybeGrow applies at most one growth step per round trip: doubling in
 // slow start until ssthresh, then a linear MSS-per-RTT increase. The
-// transmitter calls this from its per-jiffy tick while it has data to
+// transmitter calls this from its transmit tick while it has data to
 // send; growth during idle periods is suppressed by that discipline.
 func (c *Controller) MaybeGrow(now sim.Time, rtt sim.Time) {
 	c.maybeResume(now)
@@ -245,7 +254,7 @@ func (c *Controller) OnUrgent(now sim.Time, rtt sim.Time) {
 }
 
 // Allowance refills the token bucket to now and returns the bytes that
-// may be transmitted immediately. The bucket is capped at two jiffies of
+// may be transmitted immediately. The bucket is capped at two grains of
 // the current rate (and never below one MSS while running) so the sender
 // can use a full tick's budget but cannot accumulate an unbounded burst.
 func (c *Controller) Allowance(now sim.Time) int {
@@ -264,14 +273,37 @@ func (c *Controller) Allowance(now sim.Time) int {
 	c.tokens += r * dt.Seconds()
 	// The burst cap must admit at least one full packet (header
 	// included) or low rates would deadlock, hence the 2×MSS floor.
-	burst := r * (20 * sim.Millisecond).Seconds()
-	if burst < float64(2*c.cfg.MSS) {
-		burst = float64(2 * c.cfg.MSS)
-	}
-	if c.tokens > burst {
+	if burst := c.burst(r); c.tokens > burst {
 		c.tokens = burst
 	}
 	return int(c.tokens)
+}
+
+// burst is the token-bucket cap at rate r.
+func (c *Controller) burst(r float64) float64 {
+	burst := r * (2 * c.cfg.Grain).Seconds()
+	if burst < float64(2*c.cfg.MSS) {
+		burst = float64(2 * c.cfg.MSS)
+	}
+	return burst
+}
+
+// ReadyAt returns when the bucket, refilled at the current rate from the
+// last Allowance call, will hold n bytes: the earliest time a transmit
+// tick can send an n-byte packet. While urgently stopped it returns the
+// end of the stop.
+func (c *Controller) ReadyAt(n int) sim.Time {
+	if c.phase == Stopped {
+		return c.stopped
+	}
+	need := float64(n) - c.tokens
+	if need <= 0 || !c.refillInit {
+		return c.lastRefill
+	}
+	if b := c.burst(c.rate); float64(n) > b {
+		need = b - c.tokens
+	}
+	return c.lastRefill + sim.Time(need/c.rate*float64(sim.Second)) + 1
 }
 
 // Spend consumes n bytes of allowance.

@@ -10,6 +10,9 @@
 // unicast to the sender. The same code runs under the discrete-event
 // simulator and the live UDP transport.
 //
+// Every period and floor the paper counts in 10 ms jiffies is counted
+// here in grains (Config.Grain), which default to the jiffy.
+//
 // Wire-field conventions (see the packet package): UPDATE, CONTROL and
 // JOIN carry the receiver's next expected sequence number (rcv_nxt) in
 // the Seq field. NAK carries the first missing sequence number in Seq,
@@ -72,17 +75,25 @@ type Config struct {
 	// it on all parties).
 	InitialSeq seqspace.Seq
 
+	// Grain is the clock grain the paper's jiffy-denominated constants
+	// are counted in: the update period defaults and its one-grain
+	// adjustment step, NAK and JOIN retry, the two-grain RTT floor, the
+	// warning-request throttle and the local-recovery repair delay. Zero
+	// means kernel.Jiffy, the paper's clock.
+	Grain sim.Time
 	// InitialUpdatePeriod is the Update Generator's starting period; the
-	// paper uses 50 jiffies (0.5 s).
+	// paper uses 50 jiffies (0.5 s). Zero means 50 grains.
 	InitialUpdatePeriod sim.Time
-	// MinUpdatePeriod and MaxUpdatePeriod bound the dynamic adjustment.
+	// MinUpdatePeriod and MaxUpdatePeriod bound the dynamic adjustment;
+	// zero means 1 and 500 grains.
 	MinUpdatePeriod, MaxUpdatePeriod sim.Time
 	// NakRetryInterval is the NAK Manager's base resend interval for
 	// pending NAKs (local NAK suppression window); retries back off
-	// linearly with the try count.
+	// linearly with the try count. Zero means 4 grains.
 	NakRetryInterval sim.Time
 	// AssumedRTT seeds the round-trip estimate used by the WARNBUF rule
 	// and urgent-request throttling until the JOIN exchange measures one.
+	// It is floored at two grains.
 	AssumedRTT sim.Time
 	// WarnBuf is the number of round-trip times of sending the warning
 	// rule looks ahead; the paper sets 4.
@@ -113,6 +124,12 @@ type Config struct {
 	// recovery group cache holds its own pool references, so recycling
 	// stays on under FEC.
 	RecyclePackets bool
+
+	// RetryLeave retries an unanswered LEAVE, backing off from 50 grains,
+	// up to maxLeaveRetries times. The paper's receiver sends its LEAVE
+	// once, so a lost LEAVE leaves the handshake (and Done) open forever;
+	// live drivers that wait on Done enable it (the session does).
+	RetryLeave bool
 
 	// Head makes this receiver a repair head (hierarchical recovery
 	// extension): it tracks downstream members, answers their HEAD_NAKs
@@ -161,20 +178,23 @@ func (c *Config) sanitize() {
 	if c.RcvBuf <= 0 {
 		c.RcvBuf = 64 << 10
 	}
+	if c.Grain <= 0 {
+		c.Grain = kernel.Jiffy
+	}
 	if c.InitialUpdatePeriod <= 0 {
-		c.InitialUpdatePeriod = 50 * kernel.Jiffy
+		c.InitialUpdatePeriod = 50 * c.Grain
 	}
 	if c.MinUpdatePeriod <= 0 {
-		c.MinUpdatePeriod = kernel.Jiffy
+		c.MinUpdatePeriod = c.Grain
 	}
 	if c.MaxUpdatePeriod <= 0 {
-		c.MaxUpdatePeriod = 500 * kernel.Jiffy
+		c.MaxUpdatePeriod = 500 * c.Grain
 	}
 	if c.NakRetryInterval <= 0 {
-		c.NakRetryInterval = 4 * kernel.Jiffy
+		c.NakRetryInterval = 4 * c.Grain
 	}
-	if c.AssumedRTT < 2*kernel.Jiffy {
-		c.AssumedRTT = 2 * kernel.Jiffy // jiffy-clock measurement floor
+	if c.AssumedRTT < 2*c.Grain {
+		c.AssumedRTT = 2 * c.Grain // clock-grain measurement floor
 	}
 	if c.WarnBuf <= 0 {
 		c.WarnBuf = 4
@@ -258,6 +278,10 @@ type Receiver struct {
 	finDelivered  bool
 	leaveSent     bool
 	leaveAcked    bool
+	// leaveTimer retries an unanswered LEAVE (Config.RetryLeave);
+	// leaveTries counts the retries.
+	leaveTimer kernel.Timer
+	leaveTries int
 
 	advRate uint32 // last rate advertisement heard from the sender
 
@@ -347,6 +371,9 @@ func New(cfg Config) *Receiver {
 	}
 	if cfg.Head != nil {
 		hc := *cfg.Head
+		if hc.Grain <= 0 {
+			hc.Grain = cfg.Grain
+		}
 		// The head's retained window must outlast the receive window so
 		// an evicted packet is always one the application (and hence the
 		// subtree front, which the aggregate clamps releases to) is past.
@@ -562,6 +589,7 @@ func (r *Receiver) HandleFrom(now sim.Time, from packet.NodeID, p *packet.Packet
 		// a direct sender membership) must not complete the handshake.
 		if r.leaveSent {
 			r.leaveAcked = true
+			r.leaveTimer.Disarm()
 		}
 	case packet.TypeNak:
 		if !r.cfg.LocalRecovery {
@@ -983,7 +1011,7 @@ func (r *Receiver) syncNakList(now sim.Time) {
 					// retry interval bounds the parity's trailing
 					// distance comfortably: the sender emits it with the
 					// group's last packet or, across a pipeline pause,
-					// via the idle flush within a jiffy or two — any
+					// via the idle flush within a grain or two — any
 					// longer wait just adds dead time to the fallback
 					// path when the parity itself was lost. An arriving
 					// parity that cannot repair the gap expires the
@@ -1169,7 +1197,7 @@ func (r *Receiver) maybeRateRequest(now sim.Time) {
 		}
 		// Rate requests are deliberately not suppressed (Section 5.2);
 		// only the kernel's timer granularity bounds them.
-		if now-r.lastControl < kernel.Jiffy && r.lastControl != 0 {
+		if now-r.lastControl < r.cfg.Grain && r.lastControl != 0 {
 			return
 		}
 		r.lastControl = now
@@ -1267,7 +1295,7 @@ func (r *Receiver) onPeerNak(now sim.Time, p *packet.Packet) {
 			continue
 		}
 		if _, _, have := r.fecLookup(seq); have {
-			delay := kernel.Jiffy + sim.Time(r.rng.Intn(int(2*kernel.Jiffy)))
+			delay := r.cfg.Grain + sim.Time(r.rng.Intn(int(2*r.cfg.Grain)))
 			r.repairPending[seq] = now + delay
 		}
 	}
@@ -1490,12 +1518,9 @@ func (r *Receiver) sendJoin(now sim.Time) {
 		Seq:  uint32(r.reportedNext()),
 	}})
 	r.noteHeadWait(now)
-	r.joinTimer.Arm(now + joinRetryInterval)
+	// JOINs are retried every 50 grains until JOIN_RESPONSE arrives.
+	r.joinTimer.Arm(now + 50*r.cfg.Grain)
 }
-
-// joinRetryInterval paces JOIN retransmissions while no JOIN_RESPONSE
-// has arrived.
-const joinRetryInterval = 50 * kernel.Jiffy
 
 func (r *Receiver) onJoinResponse(now sim.Time, from packet.NodeID) {
 	if r.headDown && from != 0 && from == r.cfg.RepairHead {
@@ -1510,13 +1535,10 @@ func (r *Receiver) onJoinResponse(now sim.Time, from packet.NodeID) {
 	r.joinAcked = true
 	r.joinTimer.Disarm()
 	// Karn's rule: only an unambiguous (never-retransmitted) JOIN
-	// exchange yields an RTT sample. The jiffy clock cannot resolve
-	// sub-tick round trips, so the estimate floors at two jiffies.
+	// exchange yields an RTT sample. The clock cannot resolve sub-tick
+	// round trips, so the estimate floors at two grains.
 	if d := now - r.joinTime; d > 0 && !r.joinAmbiguous {
-		if d < 2*kernel.Jiffy {
-			d = 2 * kernel.Jiffy
-		}
-		r.rttEstimate = d
+		r.rttEstimate = max(d, 2*r.cfg.Grain)
 	}
 }
 
@@ -1568,10 +1590,22 @@ func (r *Receiver) maybeLeave(now sim.Time) {
 			uint32(r.wnd.Next()), int64(r.head.Members()))
 	}
 	r.leaveSent = true
+	r.sendLeave(now)
+}
+
+// maxLeaveRetries bounds the LEAVE retries: a sender that stays silent
+// through them is gone, and the receiver stops asking.
+const maxLeaveRetries = 6
+
+// sendLeave emits the LEAVE and, with RetryLeave, arms its retry.
+func (r *Receiver) sendLeave(now sim.Time) {
 	r.emit(&packet.Packet{Header: packet.Header{
 		Type: packet.TypeLeave,
 		Seq:  uint32(r.reportedNext()),
 	}})
+	if r.cfg.RetryLeave && r.leaveTries < maxLeaveRetries {
+		r.leaveTimer.Arm(now + 50*r.cfg.Grain<<r.leaveTries)
+	}
 }
 
 // Advance fires any due timers: the NAK Manager and the Update
@@ -1604,6 +1638,10 @@ func (r *Receiver) Advance(now sim.Time) {
 	if r.repairTimer.Fire(now) {
 		r.fireRepairs(now)
 	}
+	if r.leaveTimer.Fire(now) && r.leaveSent && !r.leaveAcked {
+		r.leaveTries++
+		r.sendLeave(now)
+	}
 	if r.head != nil && r.head.Tick(now) {
 		// The aggregate period elapsed: one AGG_UPDATE speaks for the
 		// whole subtree (and the eviction sweep ran inside Tick).
@@ -1616,7 +1654,7 @@ func (r *Receiver) Advance(now sim.Time) {
 
 // onUpdateTimer is the Update Generator of Figure 9: send a periodic
 // UPDATE (unless other reverse traffic already informed the sender this
-// period) and adjust the period by one jiffy based on whether probes
+// period) and adjust the period by one grain based on whether probes
 // arrived — down when the sender had to probe, up when it did not.
 func (r *Receiver) onUpdateTimer(now sim.Time) {
 	if r.seenAnyData && !r.finDelivered {
@@ -1627,12 +1665,12 @@ func (r *Receiver) onUpdateTimer(now sim.Time) {
 		}
 	}
 	if r.probesInPer > 0 {
-		r.updatePeriod -= kernel.Jiffy
+		r.updatePeriod -= r.cfg.Grain
 		if r.updatePeriod < r.cfg.MinUpdatePeriod {
 			r.updatePeriod = r.cfg.MinUpdatePeriod
 		}
 	} else {
-		r.updatePeriod += kernel.Jiffy
+		r.updatePeriod += r.cfg.Grain
 		if r.updatePeriod > r.cfg.MaxUpdatePeriod {
 			r.updatePeriod = r.cfg.MaxUpdatePeriod
 		}
@@ -1644,12 +1682,21 @@ func (r *Receiver) onUpdateTimer(now sim.Time) {
 	}
 }
 
-// NextWake returns the earliest time Advance needs to run.
+// NextWake returns the earliest time Advance needs to run: the earliest
+// armed timer, or the leaf's head-silence deadline.
 func (r *Receiver) NextWake() (sim.Time, bool) {
+	at, ok := kernel.Earliest(&r.nakTimer, &r.updateTimer, &r.joinTimer, &r.repairTimer, &r.leaveTimer)
 	if r.head != nil {
-		return kernel.Earliest(&r.nakTimer, &r.updateTimer, &r.joinTimer, &r.repairTimer, r.head.Timer())
+		if t, armed := r.head.Timer().Deadline(); armed && (!ok || t < at) {
+			at, ok = t, true
+		}
 	}
-	return kernel.Earliest(&r.nakTimer, &r.updateTimer, &r.joinTimer, &r.repairTimer)
+	if r.leafHead() != 0 && r.headWaitSince != 0 && r.cfg.HeadSilenceTimeout > 0 {
+		if t := r.headWaitSince + r.cfg.HeadSilenceTimeout; !ok || t < at {
+			at, ok = t, true
+		}
+	}
+	return at, ok
 }
 
 // Read delivers in-order stream bytes to the application. At end of
@@ -1682,10 +1729,7 @@ func (r *Receiver) Read(now sim.Time, buf []byte) (int, error) {
 			if r.cfg.Mode == HRMC {
 				r.sendUpdate(now)
 			}
-			r.emit(&packet.Packet{Header: packet.Header{
-				Type: packet.TypeLeave,
-				Seq:  uint32(r.wnd.Next()),
-			}})
+			r.sendLeave(now)
 			r.noteHeadWait(now)
 		}
 		if n == 0 {

@@ -40,17 +40,17 @@ import (
 
 // Defaults for Config fields left zero.
 const (
-	// DefaultAggregatePeriod spaces AGG_UPDATEs to the sender. It is
-	// deliberately coarser than the receiver's own adaptive UPDATE
-	// period: the head speaks for many members, and the sender's
-	// release path only needs the subtree minimum, not a fresh sample
-	// every RTT.
-	DefaultAggregatePeriod = 25 * kernel.Jiffy
-	// DefaultSuppressionInterval is how long after answering (or
-	// escalating) a sequence number the head ignores further HEAD_NAKs
-	// for it — long enough for the repair to reach the subtree, short
-	// enough that a lost repair is re-requested quickly.
-	DefaultSuppressionInterval = 4 * kernel.Jiffy
+	// DefaultAggregatePeriod, in grains, spaces AGG_UPDATEs to the
+	// sender. It is deliberately coarser than the receiver's own
+	// adaptive UPDATE period: the head speaks for many members, and the
+	// sender's release path only needs the subtree minimum, not a fresh
+	// sample every RTT.
+	DefaultAggregatePeriod = 25
+	// DefaultSuppressionInterval, in grains, is how long after answering
+	// (or escalating) a sequence number the head ignores further
+	// HEAD_NAKs for it — long enough for the repair to reach the
+	// subtree, short enough that a lost repair is re-requested quickly.
+	DefaultSuppressionInterval = 4
 	// DefaultMemberTimeout evicts downstream members that stopped
 	// reporting, so a crashed leaf cannot pin the aggregate minimum
 	// (and thus the sender's buffer) forever. It must comfortably
@@ -74,11 +74,14 @@ const (
 
 // Config parameterizes a repair head.
 type Config struct {
+	// Grain is the clock grain the two defaults above are counted in.
+	// Zero means kernel.Jiffy, the paper's clock.
+	Grain sim.Time
 	// AggregatePeriod is the interval between AGG_UPDATEs to the
-	// sender. Zero means DefaultAggregatePeriod.
+	// sender. Zero means DefaultAggregatePeriod grains.
 	AggregatePeriod sim.Time
 	// SuppressionInterval is the duplicate-NAK suppression window per
-	// sequence number. Zero means DefaultSuppressionInterval.
+	// sequence number. Zero means DefaultSuppressionInterval grains.
 	SuppressionInterval sim.Time
 	// MemberTimeout evicts members not heard from for this long. Zero
 	// means DefaultMemberTimeout.
@@ -97,11 +100,14 @@ type Config struct {
 }
 
 func (c *Config) sanitize() {
+	if c.Grain <= 0 {
+		c.Grain = kernel.Jiffy
+	}
 	if c.AggregatePeriod <= 0 {
-		c.AggregatePeriod = DefaultAggregatePeriod
+		c.AggregatePeriod = DefaultAggregatePeriod * c.Grain
 	}
 	if c.SuppressionInterval <= 0 {
-		c.SuppressionInterval = DefaultSuppressionInterval
+		c.SuppressionInterval = DefaultSuppressionInterval * c.Grain
 	}
 	if c.MemberTimeout <= 0 {
 		c.MemberTimeout = DefaultMemberTimeout

@@ -1,9 +1,13 @@
 // Package sender implements the H-RMC sender of Figure 8 as a sans-I/O
 // state machine: the Application Interface (fragmentation into the send
-// window), the per-jiffy Transmitter, the Feedback Processor, the
+// window), the per-grain Transmitter, the Feedback Processor, the
 // Retransmitter, the Keepalive Controller, and probe_members — the
 // buffer-release safety check that distinguishes H-RMC from the pure
 // NAK-based RMC baseline.
+//
+// Every timer and floor the paper counts in 10 ms jiffies is counted here
+// in grains (Config.Grain), which default to the jiffy; a live driver on
+// a finer clock passes its own tick.
 //
 // The machine is driven from outside: the owner writes stream data with
 // Write, feeds arriving feedback with HandlePacket, runs the transmit
@@ -122,6 +126,12 @@ type Config struct {
 	// complete and free data the orphans still need. Zero means 5
 	// seconds; negative disables the fence.
 	FailoverGrace sim.Time
+	// Grain is the clock grain the paper's jiffy-denominated constants
+	// are counted in: the RTT floor, the first keepalive backoff, probe
+	// spacing, the FEC idle flush and the first tick's budget. The
+	// driver should tick at least this often while NextWake asks it to.
+	// Zero means kernel.Jiffy, the paper's clock.
+	Grain sim.Time
 
 	// Stats receives counters; nil allocates a private set.
 	Stats *stats.Sender
@@ -130,6 +140,9 @@ type Config struct {
 }
 
 func (c *Config) sanitize() {
+	if c.Grain <= 0 {
+		c.Grain = kernel.Jiffy
+	}
 	if c.MSS <= 0 {
 		c.MSS = 1400
 	}
@@ -146,6 +159,9 @@ func (c *Config) sanitize() {
 		def := rate.DefaultConfig()
 		def.MSS = c.MSS
 		c.Rate = def
+	}
+	if c.Rate.Grain <= 0 {
+		c.Rate.Grain = c.Grain
 	}
 	if c.KeepaliveMax <= 0 {
 		c.KeepaliveMax = 2 * sim.Second
@@ -237,8 +253,12 @@ type Sender struct {
 	// independent of whether H-RMC then stalls the release.
 	judged    seqspace.Seq
 	stalled   bool // window release is currently blocked on receiver info
-	primed    bool // first transmit tick has granted its jiffy budget
+	primed    bool // first transmit tick has granted its one-grain budget
 	maxJoined int
+	// unjoinedLeaves counts receivers whose JOIN never arrived but whose
+	// LEAVE did: they took the whole stream, so they count toward
+	// ExpectedReceivers without ever entering the membership table.
+	unjoinedLeaves int
 	// cutEpoch is snd_nxt at the last NAK-driven rate cut: NAKs for
 	// data sent before the cut describe the same loss event and do not
 	// cut again (the rate-based analogue of TCP's one-cut-per-window).
@@ -269,6 +289,12 @@ type Sender struct {
 	// unprotected across a stall (see Encoder.Flush).
 	fenc       *fec.Encoder
 	fecLastAdd sim.Time
+
+	// lastTick is the time of the last Tick; probeWake is the earliest
+	// time a lacking member becomes due for a re-probe (zero: none),
+	// recomputed by every release attempt. Both feed NextWake.
+	lastTick  sim.Time
+	probeWake sim.Time
 }
 
 // New creates a sender.
@@ -292,15 +318,11 @@ func New(cfg Config) *Sender {
 func (s *Sender) Stats() *stats.Sender { return s.st }
 
 // pacingRTT is the round-trip time used for timer-granular decisions
-// (growth pacing, cut pacing, hold times). A 10 ms-jiffy kernel cannot
-// act on sub-tick round trips, so the estimate is floored at two
-// jiffies.
+// (growth pacing, cut pacing, hold times). A timer that ticks once per
+// grain cannot act on sub-tick round trips, so the estimate is floored
+// at two grains.
 func (s *Sender) pacingRTT() sim.Time {
-	rtt := s.est.RTT()
-	if rtt < 2*kernel.Jiffy {
-		rtt = 2 * kernel.Jiffy
-	}
-	return rtt
+	return max(s.est.RTT(), 2*s.cfg.Grain)
 }
 
 // RTT returns the current worst-receiver round-trip estimate.
@@ -312,8 +334,8 @@ func (s *Sender) Rate(now sim.Time) float64 { return s.rc.Rate(now) }
 // MaxRate returns the current flow-control ceiling in bytes/second.
 func (s *Sender) MaxRate() float64 { return s.rc.Ceiling() }
 
-// MinRate returns the rate-control floor in bytes/second — the
-// one-packet-per-jiffy pacing minimum the flow cannot go below.
+// MinRate returns the rate-control floor in bytes/second — the pacing
+// minimum the flow cannot go below.
 func (s *Sender) MinRate() float64 { return s.rc.MinRate() }
 
 // SetMaxRate adjusts the flow-control ceiling at runtime. The session
@@ -506,13 +528,24 @@ func (s *Sender) onJoin(now sim.Time, from packet.NodeID, p *packet.Packet) {
 func (s *Sender) onLeave(now sim.Time, from packet.NodeID, p *packet.Packet) {
 	s.st.LeavesReceived++
 	s.members.Update(from, seqspace.Seq(p.Seq), now)
-	if m := s.members.Lookup(from); m != nil && m.KnownState {
-		if s.departed == nil {
-			s.departed = make(map[packet.NodeID]tombstone)
-		}
-		s.departed[from] = tombstone{next: m.NextExpected, at: now, head: m.Head}
+	if s.departed == nil {
+		s.departed = make(map[packet.NodeID]tombstone)
 	}
-	s.members.Remove(from)
+	if m := s.members.Lookup(from); m != nil {
+		if m.KnownState {
+			s.departed[from] = tombstone{next: m.NextExpected, at: now, head: m.Head}
+		}
+		s.members.Remove(from)
+	} else if _, seen := s.departed[from]; !seen {
+		// A LEAVE from a receiver whose JOIN was lost: it took the whole
+		// stream without ever being a member. Count it once toward the
+		// expected population, as a member that joined and departed at
+		// the LEAVE's sequence number — otherwise a known-population
+		// sender waits forever for a JOIN that will never come. The
+		// tombstone also absorbs a retransmitted LEAVE.
+		s.departed[from] = tombstone{next: seqspace.Seq(p.Seq), at: now}
+		s.unjoinedLeaves++
+	}
 	trace.Emit(s.cfg.Trace, now, trace.MemberLeft, p.Seq, int64(s.members.Len()))
 	s.emit(&packet.Packet{Header: packet.Header{
 		Type: packet.TypeLeaveResponse,
@@ -702,17 +735,18 @@ func (s *Sender) sampleProbeRTT(now sim.Time, from packet.NodeID) {
 	m.ProbeTries = 2 // consume the sample; further feedback is ambiguous
 }
 
-// Tick is the Transmitter (transmit_timer): it runs every jiffy. It
-// retransmits requested data first, transmits new data within the rate
-// allowance, attempts window release (probing under H-RMC), and drives
-// the Keepalive Controller.
+// Tick is the Transmitter (transmit_timer): it runs every grain, or
+// whenever NextWake asks. It retransmits requested data first, transmits
+// new data within the rate allowance, attempts window release (probing
+// under H-RMC), and drives the Keepalive Controller.
 func (s *Sender) Tick(now sim.Time) {
+	s.lastTick = now
 	s.tryQueueFIN()
 	if !s.primed {
 		// The transmit timer's first tick grants the budget of one full
-		// jiffy, as if the timer had been running.
+		// grain, as if the timer had been running.
 		s.primed = true
-		s.rc.Allowance(now - kernel.Jiffy)
+		s.rc.Allowance(now - s.cfg.Grain)
 	}
 	allowance := s.rc.Allowance(now)
 	sentAny := false
@@ -723,7 +757,7 @@ func (s *Sender) Tick(now sim.Time) {
 
 	// New data within the rate window. Tokens accumulate across ticks
 	// (up to the burst cap, which always admits one full packet), so
-	// rates below one packet per jiffy still pace correctly.
+	// rates below one packet per grain still pace correctly.
 	for {
 		seq, e := s.wnd.FirstUnsent()
 		if e == nil {
@@ -742,10 +776,10 @@ func (s *Sender) Tick(now sim.Time) {
 	// FEC idle flush: a parity group left half-open across a pipeline
 	// pause (window stall, rate gate, stream tail) would leave its sent
 	// prefix unprotected past the receivers' NAK-defer window; close it
-	// early with a short-group parity instead. One jiffy of silence is
-	// the signal — at line rate groups complete well inside a jiffy, so
+	// early with a short-group parity instead. One grain of silence is
+	// the signal — at line rate groups complete well inside a grain, so
 	// this only fires when transmission genuinely paused.
-	if s.fenc != nil && s.fenc.Pending() > 0 && now-s.fecLastAdd >= kernel.Jiffy {
+	if s.fenc != nil && s.fenc.Pending() > 0 && now-s.fecLastAdd >= s.cfg.Grain {
 		if parity := s.fenc.Flush(); parity != nil {
 			s.st.FecParitySent++
 			trace.Emit(s.cfg.Trace, now, trace.FecParitySent, parity.Seq, int64(parity.Length))
@@ -916,6 +950,7 @@ func (s *Sender) transmit(now sim.Time, seq seqspace.Seq, e *window.SendEntry, i
 // the lacking members are probed and the window stalls.
 func (s *Sender) tryRelease(now sim.Time) {
 	s.stalled = false
+	s.probeWake = 0
 	// Like the kernel, buffer space is reclaimed lazily: only when the
 	// window lacks room for another packet, or when the stream is
 	// closed and draining. With large kernel buffers packets therefore
@@ -945,7 +980,7 @@ func (s *Sender) tryRelease(now sim.Time) {
 			s.headFenceTill = 0
 		}
 		complete := s.members.AllPast(seq)
-		joined := s.cfg.ExpectedReceivers <= 0 || s.maxJoined >= s.cfg.ExpectedReceivers
+		joined := s.cfg.ExpectedReceivers <= 0 || s.populationJoined()
 		if now-e.LastSent < minHold {
 			// Early release, for known populations only: the MINBUF hold
 			// keeps the packet available for repair while the member
@@ -960,7 +995,7 @@ func (s *Sender) tryRelease(now sim.Time) {
 			// timestamp is never released: it may still sit un-drained
 			// (and un-retained) in the outgoing queue, and freeing it
 			// would zero the emitted packet under the driver.
-			known := s.cfg.ExpectedReceivers > 0 && s.maxJoined >= s.cfg.ExpectedReceivers
+			known := s.cfg.ExpectedReceivers > 0 && s.populationJoined()
 			if s.cfg.Mode != HRMC || !known || !complete || now == e.LastSent {
 				if s.cfg.Mode == HRMC && s.cfg.EarlyProbeRTTs > 0 {
 					s.maybeEarlyProbe(now, minHold)
@@ -1009,11 +1044,18 @@ func (s *Sender) tryRelease(now sim.Time) {
 	}
 }
 
+// populationJoined reports whether ExpectedReceivers receivers have
+// joined at some point, counting those whose JOIN was lost but whose
+// LEAVE arrived.
+func (s *Sender) populationJoined() bool {
+	return s.maxJoined+s.unjoinedLeaves >= s.cfg.ExpectedReceivers
+}
+
 // TryRelease attempts window release outside the tick, with the same
 // rules as the Transmitter's release step. Drivers call it right after
 // feeding feedback (HandlePacket) so a blocked Write unblocks the
 // moment an UPDATE completes the membership picture, instead of up to
-// a jiffy later on the next tick.
+// a grain later on the next tick.
 func (s *Sender) TryRelease(now sim.Time) { s.tryRelease(now) }
 
 // ReleaseBuffers force-releases every buffered packet back to the
@@ -1060,21 +1102,8 @@ func (s *Sender) probeLacking(now sim.Time, seq seqspace.Seq) {
 	due := lacking[:0]
 	for _, m := range lacking {
 		if m.ProbeOutstanding && seqspace.AtOrBefore(seq, m.ProbeSeq) {
-			// An equivalent probe is in flight: wait at least an RTO
-			// (floored at two jiffies of timer granularity), backed off
-			// exponentially with the per-member retry count.
-			spacing := s.est.RTO()
-			if spacing < 2*kernel.Jiffy {
-				spacing = 2 * kernel.Jiffy
-			}
-			shift := m.ProbeTries - 1
-			if shift > 6 {
-				shift = 6
-			}
-			if shift > 0 {
-				spacing <<= uint(shift)
-			}
-			if now-m.LastProbed < spacing {
+			if at := m.LastProbed + s.probeSpacing(m); now < at {
+				s.noteProbeWake(at)
 				continue
 			}
 		}
@@ -1106,6 +1135,25 @@ func (s *Sender) probeLacking(now sim.Time, seq seqspace.Seq) {
 	}
 }
 
+// probeSpacing is how long an equivalent probe to m stays in flight
+// before a re-probe: at least an RTO (floored at two grains of timer
+// granularity), backed off exponentially with the per-member retry
+// count.
+func (s *Sender) probeSpacing(m *membership.Member) sim.Time {
+	spacing := max(s.est.RTO(), 2*s.cfg.Grain)
+	if shift := min(m.ProbeTries-1, 6); shift > 0 {
+		spacing <<= uint(shift)
+	}
+	return spacing
+}
+
+// noteProbeWake records at as a re-probe time for NextWake.
+func (s *Sender) noteProbeWake(at sim.Time) {
+	if s.probeWake == 0 || at < s.probeWake {
+		s.probeWake = at
+	}
+}
+
 func (s *Sender) markProbed(m *membership.Member, seq seqspace.Seq, now sim.Time) {
 	if m.ProbeOutstanding && m.ProbeSeq == seq {
 		m.ProbeTries++ // Karn: a re-probe makes the sample ambiguous
@@ -1115,6 +1163,7 @@ func (s *Sender) markProbed(m *membership.Member, seq seqspace.Seq, now sim.Time
 		m.ProbeTries = 1
 	}
 	m.LastProbed = now
+	s.noteProbeWake(now + s.probeSpacing(m))
 }
 
 // needsKeepalive reports whether the Keepalive Controller should run.
@@ -1160,7 +1209,7 @@ func (s *Sender) runKeepalive(now sim.Time) {
 		Seq:  uint32(last),
 	}}, Dest{Multicast: true})
 	if s.kaBackoff == 0 {
-		s.kaBackoff = 2 * kernel.Jiffy
+		s.kaBackoff = 2 * s.cfg.Grain
 	} else {
 		s.kaBackoff *= 2
 		if s.kaBackoff > s.cfg.KeepaliveMax {
@@ -1170,8 +1219,69 @@ func (s *Sender) runKeepalive(now sim.Time) {
 	s.kaTimer.Arm(now + s.kaBackoff)
 }
 
-// NextWake returns the earliest time beyond the per-jiffy tick that the
-// sender needs attention; drivers that tick every jiffy can ignore it.
-func (s *Sender) NextWake() (sim.Time, bool) {
-	return s.kaTimer.Deadline()
+// NextWake returns the earliest time the sender needs its next Tick,
+// given its state after the last Tick or feedback: the next token refill
+// while data or retransmissions wait, the end of an urgent stop, the
+// window front's MINBUF (or early-probe) deadline, a due re-probe, the
+// keepalive timer (or the next grain when a keepalive is owed), a FIN
+// waiting for window room, the FEC idle flush, the failover fence and
+// the amortized sweeps. A time already past means as soon as possible.
+// ok is false when nothing is pending: the sender sleeps until the
+// application writes or feedback arrives. Drivers that tick every grain
+// can ignore it.
+func (s *Sender) NextWake() (at sim.Time, ok bool) {
+	wake := func(t sim.Time) {
+		if !ok || t < at {
+			at, ok = t, true
+		}
+	}
+	if s.needsKeepalive(s.lastTick) {
+		if t, armed := s.kaTimer.Deadline(); armed {
+			wake(t)
+		} else {
+			wake(s.lastTick + s.cfg.Grain)
+		}
+	}
+	if s.pendingFIN {
+		wake(s.lastTick + s.cfg.Grain)
+	}
+	if t, stopped := s.rc.StoppedUntil(); stopped {
+		wake(t)
+	} else if _, e := s.wnd.FirstUnsent(); e != nil {
+		wake(s.rc.ReadyAt(e.Pkt.WireSize()))
+	}
+	for _, req := range s.retrans {
+		wake(max(req.notBefore, s.rc.ReadyAt(s.cfg.MSS+packet.HeaderSize)))
+	}
+	if s.fenc != nil && s.fenc.Pending() > 1 {
+		wake(s.fecLastAdd + s.cfg.Grain)
+	}
+	if e := s.wnd.Front(); e != nil && e.Sent() && (s.closed || s.wnd.Free() < s.cfg.MSS+packet.HeaderSize) {
+		hold := sim.Time(s.cfg.MinBufRTTs) * s.pacingRTT()
+		if e.LastSent == s.lastTick {
+			// Sent by this very tick, so not yet releasable early.
+			wake(s.lastTick + s.cfg.Grain)
+		} else if t := e.LastSent + hold; t > s.lastTick {
+			wake(t)
+			if s.cfg.Mode == HRMC && s.cfg.EarlyProbeRTTs > 0 {
+				lead := sim.Time(s.cfg.EarlyProbeRTTs * float64(s.pacingRTT()))
+				if t-lead > s.lastTick {
+					wake(t - lead)
+				}
+			}
+		}
+	}
+	if s.probeWake != 0 {
+		wake(s.probeWake)
+	}
+	if s.headFenceTill > s.lastTick {
+		wake(s.headFenceTill)
+	}
+	if s.cfg.HeadSilenceTimeout > 0 && s.members.Heads() > 0 {
+		wake(s.lastHeadSweep + s.cfg.HeadSilenceTimeout/4)
+	}
+	if len(s.departed) > 0 {
+		wake(s.lastTombSweep + s.cfg.TombstoneTTL)
+	}
+	return at, ok
 }

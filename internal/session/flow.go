@@ -134,6 +134,13 @@ type flow struct {
 	// enqueueSend copies onto the session's shared send queue; guarded
 	// by mu.
 	itemScratch []outItem
+
+	// due is the flow's filed deadline and hidx its index in the
+	// session's wake heap (-1 when not filed); detached keeps a detached
+	// flow from filing again. Guarded by Session.tmu.
+	due      sim.Time
+	hidx     int
+	detached bool
 }
 
 func (f *flow) init(s *Session, kind Kind, tr transport.Transport, port uint16, opts []FlowOption) {
@@ -143,6 +150,7 @@ func (f *flow) init(s *Session, kind Kind, tr transport.Transport, port uint16, 
 	f.kind = kind
 	f.port = port
 	f.weight = 1
+	f.hidx = -1
 	f.cond = sync.NewCond(&f.mu)
 	for _, o := range opts {
 		o(f)
@@ -220,8 +228,26 @@ type SenderFlow struct {
 	capCeiling float64
 }
 
+// tick runs the Transmitter and re-files the flow's next deadline.
 func (f *SenderFlow) tick(now sim.Time) {
-	f.tickSender(now, 0, false, false)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.err != nil {
+		// A failed (aborted) flow's machine is quiescent — its buffers
+		// may already be back in the pool.
+		return
+	}
+	f.m.Tick(now)
+	f.flushLocked()
+	f.cond.Broadcast()
+	f.rearm()
+}
+
+// rearm files the machine's next wake-up with the session. Caller holds
+// f.mu.
+func (f *SenderFlow) rearm() {
+	at, ok := f.m.NextWake()
+	f.sess.arm(f, at, ok)
 }
 
 // govHeadroom is the growth room the governor leaves a flow pacing
@@ -230,17 +256,14 @@ func (f *SenderFlow) tick(now sim.Time) {
 // rest of the flow's unused share is donated to still-hungry flows.
 const govHeadroom = 2
 
-// tickSender runs one governor-aware tick under a single lock
-// acquisition: apply the share the governor computed last tick, tick
-// the protocol machine, and sample the demand report for the next
-// allocation. It returns the flow's share request and whether the flow
-// still participates in the budget.
-func (f *SenderFlow) tickSender(now sim.Time, share float64, haveShare, governed bool) (shareReq, bool) {
+// govern runs one governor step under a single lock acquisition: apply
+// the share the governor computed last pass and sample the demand
+// report for the next allocation. It returns the flow's share request
+// and whether the flow still participates in the budget.
+func (f *SenderFlow) govern(now sim.Time, share float64, haveShare, governed bool) (shareReq, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.err != nil {
-		// A failed (aborted) flow's machine is quiescent — its buffers
-		// may already be back in the pool.
 		return shareReq{}, false
 	}
 	switch {
@@ -250,14 +273,13 @@ func (f *SenderFlow) tickSender(now sim.Time, share float64, haveShare, governed
 		}
 		f.m.SetMaxRate(share)
 		f.governed = true
+		f.rearm()
 	case !governed && f.governed:
 		f.m.SetMaxRate(f.capCeiling)
 		f.governed = false
+		f.rearm()
 	}
-	f.m.Tick(now)
-	f.flushLocked()
-	f.cond.Broadcast()
-	if !governed || f.err != nil || f.m.Done() {
+	if !governed || f.m.Done() {
 		return shareReq{}, false
 	}
 	rate := f.m.Rate(now)
@@ -289,11 +311,12 @@ func (f *SenderFlow) handleBatch(now sim.Time, env []transport.Envelope) {
 	// Release on feedback, not on the next tick: when an UPDATE just
 	// completed the membership picture for the window front, this frees
 	// window space (and wakes a blocked Write) immediately instead of
-	// up to a jiffy later — the difference between latency-bound and
+	// up to a grain later — the difference between latency-bound and
 	// rate-bound single-flow throughput.
 	f.m.TryRelease(now)
 	f.flushLocked()
 	f.cond.Broadcast()
+	f.rearm()
 	f.mu.Unlock()
 	// The sender machine never retains feedback packets.
 	transport.ReleaseEnvelopes(env)
@@ -337,6 +360,7 @@ func (f *SenderFlow) SetCeiling(bytesPerSec float64) {
 	f.capCeiling = bytesPerSec
 	if !f.governed {
 		f.m.SetMaxRate(bytesPerSec)
+		f.rearm()
 	}
 	f.mu.Unlock()
 }
@@ -364,6 +388,7 @@ func (f *SenderFlow) Write(b []byte) (int, error) {
 			// Ship what fit without waiting for the next tick.
 			f.m.Tick(f.sess.now())
 			f.flushLocked()
+			f.rearm()
 			continue
 		}
 		f.cond.Wait()
@@ -390,6 +415,7 @@ func (f *SenderFlow) Close() error {
 	// (and so the final UPDATE that drains the window) is waiting on.
 	f.m.Tick(f.sess.now())
 	f.flushLocked()
+	f.rearm()
 	for !f.m.Done() && f.err == nil {
 		f.cond.Wait()
 	}
@@ -457,14 +483,23 @@ type ReceiverFlow struct {
 	sender    packet.NodeID
 }
 
+// tick fires the machine's due timers and re-files its next deadline.
 func (f *ReceiverFlow) tick(now sim.Time) {
 	f.mu.Lock()
 	if f.err == nil {
 		f.m.Advance(now)
 		f.flushLocked()
+		f.rearm()
 	}
 	f.cond.Broadcast()
 	f.mu.Unlock()
+}
+
+// rearm files the machine's next wake-up with the session. Caller holds
+// f.mu.
+func (f *ReceiverFlow) rearm() {
+	at, ok := f.m.NextWake()
+	f.sess.arm(f, at, ok)
 }
 
 func (f *ReceiverFlow) handleBatch(now sim.Time, env []transport.Envelope) {
@@ -491,6 +526,7 @@ func (f *ReceiverFlow) handleBatch(now sim.Time, env []transport.Envelope) {
 	}
 	f.flushLocked()
 	f.cond.Broadcast()
+	f.rearm()
 	f.mu.Unlock()
 }
 
@@ -521,8 +557,9 @@ func (f *ReceiverFlow) Read(b []byte) (int, error) {
 	defer f.mu.Unlock()
 	for {
 		n, err := f.m.Read(f.sess.now(), b)
-		f.flushLocked() // end-of-stream queues UPDATE+LEAVE
 		if n > 0 || err != nil {
+			f.flushLocked() // end-of-stream queues UPDATE+LEAVE
+			f.rearm()
 			return n, err
 		}
 		if f.err != nil {

@@ -1,12 +1,16 @@
 // Package session multiplexes many concurrent H-RMC flows — senders
 // and receivers across independent multicast groups — inside one
 // process, the way the paper's kernel implementation multiplexes all
-// AF_HRMC sockets over one jiffy clock and one timer wheel.
+// AF_HRMC sockets over one jiffy clock and its timers.
 //
 // One Session owns:
 //
-//   - a single wall-clock tick loop (default one kernel jiffy, 10 ms)
-//     driving every flow's transmit and timer machinery;
+//   - one clock grain (Config.TickInterval, default 1 ms) that every
+//     flow it opens counts the paper's jiffy-denominated timers in, and
+//     a single deadline-driven timer loop: each flow files its machine's
+//     next wake-up, rounded up to the grain, in a per-session min-heap,
+//     and the loop sleeps until the earliest one falls due — so idle
+//     flows cost nothing however fine the grain;
 //   - one batched receive loop per transport (the transport's native
 //     BatchTransport interface, or any per-packet Transport lifted by
 //     transport.Batched), with a port-based demultiplexer that drains
@@ -33,8 +37,10 @@
 package session
 
 import (
+	"cmp"
+	"container/heap"
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -46,9 +52,10 @@ import (
 	"repro/internal/transport"
 )
 
-// DefaultTickInterval is the shared transmit/timer tick, one kernel
-// jiffy.
-const DefaultTickInterval = 10 * time.Millisecond
+// DefaultTickInterval is the default clock grain: a tenth of the paper's
+// 10 ms jiffy, fine enough that feedback-paced release, not the clock,
+// bounds a live flow's throughput.
+const DefaultTickInterval = time.Millisecond
 
 // Errors returned by session operations.
 var (
@@ -63,8 +70,10 @@ var (
 
 // Config parametrizes a Session.
 type Config struct {
-	// TickInterval is the shared wall-clock tick driving every flow;
-	// zero selects DefaultTickInterval.
+	// TickInterval is the session's clock grain: every flow opens with it
+	// as its machine Grain (unless the flow config sets one), and the
+	// timer loop wakes only on its boundaries. Zero selects
+	// DefaultTickInterval.
 	TickInterval time.Duration
 	// Budget, when positive, caps the aggregate send rate across all
 	// sender flows in bytes/second. Every tick the demand-aware
@@ -96,10 +105,24 @@ type Session struct {
 	nextID int
 	closed bool
 	// shares holds the ceilings the governor computed from the previous
-	// tick's demand reports, applied at the start of the next tick so
-	// governor bookkeeping and the flow machine tick share one lock
-	// acquisition per flow.
+	// pass's demand reports, applied at the start of the next pass.
 	shares map[*SenderFlow]float64
+	// wasGoverned records that the last governor pass ran under a
+	// budget, so one more pass restores the flows' own ceilings after the
+	// budget is lifted; govFlows is the pass's scratch flow list. Both
+	// belong to the timer loop.
+	wasGoverned bool
+	govFlows    []anyFlow
+
+	// grain is TickInterval on the session clock. wakes is the min-heap
+	// of flow deadlines, each rounded up to the grain; kick (capacity 1)
+	// wakes the timer loop when a flow files a deadline earlier than any
+	// other. Guarded by tmu, which is never held while taking a flow
+	// lock.
+	grain sim.Time
+	tmu   sync.Mutex
+	wakes wakeHeap
+	kick  chan struct{}
 
 	// sendShards are the outgoing staging queues: every flow's
 	// flushLocked appends ready packets to its transport's shard
@@ -159,6 +182,8 @@ func New(cfg Config) *Session {
 		start:      time.Now(),
 		loops:      make(map[transport.Transport]*recvLoop),
 		sendShards: make([]*sendShard, np),
+		grain:      sim.Time(cfg.TickInterval),
+		kick:       make(chan struct{}, 1),
 		quit:       make(chan struct{}),
 		pollerDone: make(chan struct{}),
 	}
@@ -179,33 +204,162 @@ func New(cfg Config) *Session {
 // now is the session clock every flow machine runs on.
 func (s *Session) now() sim.Time { return sim.Time(time.Since(s.start)) }
 
-// runTicks is the single tick loop shared by every flow.
+// runTicks is the single timer loop shared by every flow: it ticks the
+// flows whose deadlines fell due, runs the budget governor once per
+// grain while a budget is set, and sleeps until the next deadline, an
+// earlier deadline filed meanwhile (kick), or shutdown.
 func (s *Session) runTicks() {
 	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.TickInterval)
-	defer t.Stop()
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
+	var due []anyFlow
+	var govDue sim.Time
 	for {
+		now := s.now()
+		due = s.popDue(now, due[:0])
+		for i, f := range due {
+			f.tick(now)
+			due[i] = nil
+		}
+		next, sleep := s.nextWake()
+		if s.governing() {
+			if now >= govDue {
+				s.govern(now)
+				govDue = s.roundUp(now)
+			}
+			if !sleep || govDue < next {
+				next, sleep = govDue, true
+			}
+		}
+		if !timer.Stop() {
+			select {
+			case <-timer.C:
+			default:
+			}
+		}
+		if sleep {
+			timer.Reset(time.Duration(next - s.now()))
+		}
 		select {
-		case <-t.C:
-			s.tickAll()
+		case <-timer.C:
+		case <-s.kick:
 		case <-s.quit:
 			return
 		}
 	}
 }
 
-// tickAll drives one shared tick. Each flow is locked exactly once: a
-// sender flow's governor share is applied, its machine ticked, and its
-// next-tick demand sampled inside the same critical section (the old
-// governor took three separate per-flow lock acquisitions — weight
-// probe, ceiling store, tick). The shares applied this tick were
-// computed from last tick's demand reports, so the governor lags the
-// flows by one jiffy — well inside the round-trip timescale the rate
-// controllers react on.
-func (s *Session) tickAll() {
-	now := s.now()
+// roundUp returns the first grain boundary of the session clock after
+// max(at, now): deadlines due in the past run on the next boundary, so
+// a flow ticks at most once per grain from the timer loop.
+func (s *Session) roundUp(at sim.Time) sim.Time {
+	at = max(at, s.now()) + 1
+	return (at + s.grain - 1) / s.grain * s.grain
+}
+
+// arm files f's next deadline (its machine's NextWake; ok false disarms
+// it). Flows call it under their own lock after every machine entry
+// point that can move the deadline: open, tick, feedback, Write, Read,
+// Close and governor share changes. A detached flow stays disarmed.
+func (s *Session) arm(f anyFlow, at sim.Time, ok bool) {
+	b := f.base()
+	s.tmu.Lock()
+	if !ok || b.detached {
+		if b.hidx >= 0 {
+			heap.Remove(&s.wakes, b.hidx)
+		}
+		s.tmu.Unlock()
+		return
+	}
+	due := s.roundUp(at)
+	if b.hidx >= 0 {
+		if b.due == due {
+			s.tmu.Unlock()
+			return
+		}
+		b.due = due
+		heap.Fix(&s.wakes, b.hidx)
+	} else {
+		b.due = due
+		heap.Push(&s.wakes, f)
+	}
+	first := s.wakes[0] == f
+	s.tmu.Unlock()
+	if first {
+		s.kickLoop()
+	}
+}
+
+// kickLoop wakes the timer loop to re-read its deadlines.
+func (s *Session) kickLoop() {
+	select {
+	case s.kick <- struct{}{}:
+	default:
+	}
+}
+
+// popDue removes every flow due at or before now from the heap and
+// appends it to dst; the flow re-arms itself when it ticks.
+func (s *Session) popDue(now sim.Time, dst []anyFlow) []anyFlow {
+	s.tmu.Lock()
+	for len(s.wakes) > 0 && s.wakes[0].base().due <= now {
+		dst = append(dst, heap.Pop(&s.wakes).(anyFlow))
+	}
+	s.tmu.Unlock()
+	return dst
+}
+
+// nextWake returns the earliest filed deadline.
+func (s *Session) nextWake() (sim.Time, bool) {
+	s.tmu.Lock()
+	defer s.tmu.Unlock()
+	if len(s.wakes) == 0 {
+		return 0, false
+	}
+	return s.wakes[0].base().due, true
+}
+
+// wakeHeap is a min-heap of flows by deadline; each flow tracks its own
+// index so a re-armed flow is fixed in place.
+type wakeHeap []anyFlow
+
+func (h wakeHeap) Len() int           { return len(h) }
+func (h wakeHeap) Less(i, j int) bool { return h[i].base().due < h[j].base().due }
+func (h wakeHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].base().hidx = i
+	h[j].base().hidx = j
+}
+func (h *wakeHeap) Push(x any) {
+	x.(anyFlow).base().hidx = len(*h)
+	*h = append(*h, x.(anyFlow))
+}
+func (h *wakeHeap) Pop() any {
+	old := *h
+	f := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	f.base().hidx = -1
+	return f
+}
+
+// governing reports whether the governor must run: a budget is set, or
+// the last pass ran under one and the flows' own ceilings need
+// restoring.
+func (s *Session) governing() bool {
 	s.mu.Lock()
-	flows := append([]anyFlow(nil), s.flows...)
+	defer s.mu.Unlock()
+	return s.cfg.Budget > 0 || s.wasGoverned
+}
+
+// govern runs one governor pass. Each sender flow is locked exactly
+// once: the share computed from the previous pass's demand reports is
+// applied and the next demand sampled in the same critical section. The
+// governor therefore lags the flows by one grain — well inside the
+// round-trip timescale the rate controllers react on.
+func (s *Session) govern(now sim.Time) {
+	s.mu.Lock()
+	flows := append(s.govFlows[:0], s.flows...)
 	budget := s.cfg.Budget
 	shares := s.shares
 	s.mu.Unlock()
@@ -213,29 +367,31 @@ func (s *Session) tickAll() {
 	governed := budget > 0
 	var senders []*SenderFlow
 	var reqs []shareReq
-	for _, f := range flows {
+	for i, f := range flows {
+		flows[i] = nil
 		sf, ok := f.(*SenderFlow)
 		if !ok {
-			f.tick(now)
 			continue
 		}
 		share, haveShare := shares[sf]
-		req, active := sf.tickSender(now, share, haveShare, governed)
+		req, active := sf.govern(now, share, haveShare, governed)
 		if governed && active {
 			senders = append(senders, sf)
 			reqs = append(reqs, req)
 		}
 	}
-	if !governed {
-		return
-	}
-	alloc := fairShares(budget, reqs)
-	next := make(map[*SenderFlow]float64, len(senders))
-	for i, sf := range senders {
-		next[sf] = alloc[i]
+	s.govFlows = flows[:0]
+	var next map[*SenderFlow]float64
+	if governed {
+		alloc := fairShares(budget, reqs)
+		next = make(map[*SenderFlow]float64, len(senders))
+		for i, sf := range senders {
+			next[sf] = alloc[i]
+		}
 	}
 	s.mu.Lock()
 	s.shares = next
+	s.wasGoverned = governed
 	s.mu.Unlock()
 }
 
@@ -303,17 +459,20 @@ func (s *Session) runSendPoller(sh *sendShard) {
 // order (a flow's DATA sequence, a head's repair order) is preserved;
 // cross-destination order carries no guarantee worth preserving over
 // UDP.
-func destOrder(a, b *outItem) bool {
+func destOrder(a, b outItem) int {
 	if a.multicast != b.multicast {
-		return a.multicast // multicast DATA first, then unicast
+		if a.multicast {
+			return -1 // multicast DATA first, then unicast
+		}
+		return 1
 	}
-	if a.group != b.group {
-		return a.group < b.group
+	if c := cmp.Compare(a.group, b.group); c != 0 {
+		return c
 	}
-	if !a.multicast && a.to != b.to {
-		return a.to < b.to
+	if !a.multicast {
+		return cmp.Compare(a.to, b.to)
 	}
-	return false
+	return 0
 }
 
 // sendItems ships staged items, one SendBatch per consecutive
@@ -329,8 +488,7 @@ func sendItems(items []outItem, env []transport.Envelope, pkts []packet.Packet) 
 		}
 		n := j - i
 		if n > 2 {
-			run := items[i:j]
-			sort.SliceStable(run, func(a, b int) bool { return destOrder(&run[a], &run[b]) })
+			slices.SortStableFunc(items[i:j], destOrder)
 		}
 		if cap(env) < n {
 			env = make([]transport.Envelope, n)
@@ -370,12 +528,13 @@ func (s *Session) discardSendq() {
 
 // SetBudget re-points the aggregate bandwidth budget at runtime, in
 // bytes/second. Zero or negative disables the governor: on the next
-// tick every governed flow's ceiling is restored to its own configured
-// (or SetCeiling) value.
+// governor pass every governed flow's ceiling is restored to its own
+// configured (or SetCeiling) value.
 func (s *Session) SetBudget(bytesPerSec float64) {
 	s.mu.Lock()
 	s.cfg.Budget = bytesPerSec
 	s.mu.Unlock()
+	s.kickLoop()
 }
 
 // Budget returns the current aggregate bandwidth budget in
@@ -605,6 +764,10 @@ func (s *Session) detach(f anyFlow) {
 			break
 		}
 	}
+	s.tmu.Lock()
+	b.detached = true
+	s.tmu.Unlock()
+	s.arm(f, 0, false)
 }
 
 // OpenSender opens a sending flow over tr. cfg.LocalPort is the flow's
@@ -617,11 +780,17 @@ func (s *Session) OpenSender(tr transport.Transport, cfg sender.Config, opts ...
 	if f.fec.Enabled {
 		cfg.FECGroupSize = f.fec.GroupSize()
 	}
+	if cfg.Grain <= 0 {
+		cfg.Grain = s.grain
+	}
 	f.m = sender.New(cfg)
 	f.capCeiling = f.m.MaxRate()
 	if err := s.attach(f); err != nil {
 		return nil, err
 	}
+	f.mu.Lock()
+	f.rearm()
+	f.mu.Unlock()
 	return f, nil
 }
 
@@ -638,15 +807,24 @@ func (s *Session) OpenReceiver(tr transport.Transport, cfg receiver.Config, opts
 	// including under FEC/local recovery, whose group cache keeps its
 	// own pool reference per cached packet.
 	cfg.RecyclePackets = true
+	// Close and Done wait on the LEAVE handshake, so a lost LEAVE must
+	// not hold it open.
+	cfg.RetryLeave = true
 	f := &ReceiverFlow{}
 	f.init(s, KindReceiver, tr, cfg.LocalPort, opts)
 	if f.fec.Enabled {
 		cfg.FECGroupSize = f.fec.GroupSize()
 	}
+	if cfg.Grain <= 0 {
+		cfg.Grain = s.grain
+	}
 	f.m = receiver.New(cfg)
 	if err := s.attach(f); err != nil {
 		return nil, err
 	}
+	f.mu.Lock()
+	f.rearm()
+	f.mu.Unlock()
 	return f, nil
 }
 

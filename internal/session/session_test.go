@@ -28,17 +28,30 @@ func fastRate() rate.Config {
 }
 
 // TestSessionMultiplexStress runs 12 concurrent flows — 4 groups of one
-// sender and two receivers — through one lossy in-memory hub, all
-// driven by one session tick loop, and asserts bit-exact delivery on
-// every flow plus coherent aggregate counters.
+// sender and two receivers — through one lossy in-memory hub (1 ms
+// delay, 1% loss), all driven by one session timer loop on a 1 ms
+// grain, and asserts bit-exact delivery on every flow plus coherent
+// aggregate counters. CI runs it repeatedly under the race detector:
+// at this grain a receiver whose JOIN is lost still completes, so it
+// exercises the sender's LEAVE-without-JOIN accounting.
 func TestSessionMultiplexStress(t *testing.T) {
+	runMultiplexStress(t, time.Millisecond)
+}
+
+// TestSessionMultiplexStressJiffyGrain is the same scenario on the
+// paper's 10 ms jiffy grain.
+func TestSessionMultiplexStressJiffyGrain(t *testing.T) {
+	runMultiplexStress(t, 10*time.Millisecond)
+}
+
+func runMultiplexStress(t *testing.T, grain time.Duration) {
 	const (
 		groups      = 4
 		rcvPerGroup = 2
 		size        = 32 << 10
 	)
 	hub := transport.NewHub(transport.WithLoss(0.01, 7), transport.WithDelay(time.Millisecond))
-	sess := New(Config{})
+	sess := New(Config{TickInterval: grain})
 	defer sess.Close()
 
 	var wg sync.WaitGroup

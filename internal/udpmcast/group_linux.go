@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"net/netip"
 	"strconv"
 	"strings"
 	"sync"
@@ -57,7 +58,7 @@ type GroupTransport struct {
 	once   sync.Once
 
 	mu     sync.Mutex
-	ids    map[string]packet.NodeID           // src addr -> learned peer ID
+	ids    map[netip.AddrPort]packet.NodeID   // src addr -> learned peer ID
 	addrs  map[packet.NodeID]*net.UDPAddr     // learned peer ID -> src addr
 	next   packet.NodeID                      // next peer ID to assign
 	groups map[transport.GroupID]*net.UDPAddr // resolved groups (joined or send-only)
@@ -110,7 +111,7 @@ func NewGroupTransport(cfg GroupConfig) (*GroupTransport, error) {
 		ifidx:  ifidx,
 		notify: make(chan struct{}, 1),
 		closed: make(chan struct{}),
-		ids:    make(map[string]packet.NodeID),
+		ids:    make(map[netip.AddrPort]packet.NodeID),
 		addrs:  make(map[packet.NodeID]*net.UDPAddr),
 		next:   peerIDBase,
 		groups: make(map[transport.GroupID]*net.UDPAddr),
@@ -354,15 +355,14 @@ func (t *GroupTransport) readLoop(br *batchReader, wantDst bool) {
 				}
 				if !resolved {
 					resolved = true
-					key := src.String()
+					key := src.AddrPort()
 					t.mu.Lock()
 					var ok bool
 					if id, ok = t.ids[key]; !ok {
 						id = t.next
 						t.next++
 						t.ids[key] = id
-						a := *src // src aliases reader-owned storage; keep a copy
-						t.addrs[id] = &a
+						t.addrs[id] = cloneAddr(src)
 					}
 					t.mu.Unlock()
 				}

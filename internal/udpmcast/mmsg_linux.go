@@ -73,6 +73,14 @@ type batchReader struct {
 	// the owning transport's stats.
 	trunc *atomic.Int64
 
+	// recvFn is the recvmmsg callback handed to rc.Read, bound once so
+	// a read allocates no closure; recvMax is its argument and recvN and
+	// recvErr its results.
+	recvFn  func(fd uintptr) bool
+	recvMax int
+	recvN   int
+	recvErr syscall.Errno
+
 	// Single-read fallback state, used when rc is unavailable or the
 	// batch syscalls have been disabled at runtime.
 	oneBuf  []byte
@@ -115,12 +123,18 @@ func newReader(conn *net.UDPConn, wantDst, gro bool) *batchReader {
 		return r // rc == nil selects the fallback path
 	}
 	r.rc = rc
-	r.msgs = make([]mmsghdr, mmsgBatch)
-	r.iovs = make([]syscall.Iovec, mmsgBatch)
-	r.names = make([]syscall.RawSockaddrInet4, mmsgBatch)
-	r.bufs = make([][]byte, mmsgBatch)
-	r.addrs = make([]net.UDPAddr, mmsgBatch)
+	r.recvFn = r.recvmmsg
+	slots := mmsgBatch
+	if gro {
+		slots = groBatch
+	}
+	r.msgs = make([]mmsghdr, slots)
+	r.iovs = make([]syscall.Iovec, slots)
+	r.names = make([]syscall.RawSockaddrInet4, slots)
+	r.bufs = make([][]byte, slots)
+	r.addrs = make([]net.UDPAddr, slots)
 	for i := range r.msgs {
+		r.addrs[i].IP = make(net.IP, 0, net.IPv6len)
 		r.bufs[i] = make([]byte, r.bufSize)
 		r.iovs[i].Base = &r.bufs[i][0]
 		r.iovs[i].Len = uint64(r.bufSize)
@@ -164,21 +178,11 @@ func (r *batchReader) read(max int) (int, error) {
 		}
 		r.msgs[i].n = 0
 	}
-	var n int
-	var serr syscall.Errno
-	err := r.rc.Read(func(fd uintptr) bool {
-		got, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
-			uintptr(unsafe.Pointer(&r.msgs[0])), uintptr(max),
-			uintptr(syscall.MSG_DONTWAIT), 0, 0)
-		if errno == syscall.EAGAIN {
-			return false
-		}
-		n, serr = int(got), errno
-		return true
-	})
-	if err != nil {
+	r.recvMax = max
+	if err := r.rc.Read(r.recvFn); err != nil {
 		return 0, err
 	}
+	n, serr := r.recvN, r.recvErr
 	if serr != 0 {
 		if serr == syscall.ENOSYS || serr == syscall.EPERM {
 			mmsgSupported.Store(false)
@@ -188,6 +192,19 @@ func (r *batchReader) read(max int) (int, error) {
 	}
 	r.lastOne = false
 	return n, nil
+}
+
+// recvmmsg is the rc.Read callback: one non-blocking recvmmsg of up to
+// recvMax datagrams.
+func (r *batchReader) recvmmsg(fd uintptr) bool {
+	got, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
+		uintptr(unsafe.Pointer(&r.msgs[0])), uintptr(r.recvMax),
+		uintptr(syscall.MSG_DONTWAIT), 0, 0)
+	if errno == syscall.EAGAIN {
+		return false
+	}
+	r.recvN, r.recvErr = int(got), errno
+	return true
 }
 
 // readOne is the single-datagram path: one blocking ReadFromUDP (or
@@ -238,10 +255,10 @@ func (r *batchReader) datagram(i int) ([]byte, *net.UDPAddr) {
 	}
 	name := &r.names[i]
 	addr := &r.addrs[i]
-	*addr = net.UDPAddr{
-		IP:   net.IPv4(name.Addr[0], name.Addr[1], name.Addr[2], name.Addr[3]),
-		Port: int(ntohs(name.Port)),
-	}
+	// The slot's IP is rewritten in place (the 16-byte form net.IPv4
+	// builds), so a read allocates nothing per datagram.
+	addr.IP = append(append(addr.IP[:0], v4InV6Prefix[:]...), name.Addr[:]...)
+	addr.Port = int(ntohs(name.Port))
 	return r.bufs[i][:n], addr
 }
 
@@ -300,6 +317,9 @@ func pktinfoDst(b []byte) uint32 {
 	return 0
 }
 
+// v4InV6Prefix is the IPv4-mapped IPv6 prefix of a 16-byte net.IP.
+var v4InV6Prefix = [12]byte{10: 0xff, 11: 0xff}
+
 // batchWriter sends datagram batches to per-message destinations over
 // one UDP socket. Not safe for concurrent use; callers serialize.
 type batchWriter struct {
@@ -312,6 +332,14 @@ type batchWriter struct {
 	spans []sendSpan // mmsghdr → original msgs range, for counting/fallback
 	errs  *atomic.Int64
 	gso   bool // UDP_SEGMENT arming (enableGSO); see also gsoSupported
+
+	// sendFn is the sendmmsg callback handed to rc.Write, bound once so
+	// a write allocates no closure; msgs[sendFrom:sendEnd] is its
+	// argument and sendGot and sendErr its results.
+	sendFn            func(fd uintptr) bool
+	sendFrom, sendEnd int
+	sendGot           int
+	sendErr           syscall.Errno
 }
 
 // sendSpan records which input messages one mmsghdr carries: count > 1
@@ -325,8 +353,22 @@ func newBatchWriter(conn *net.UDPConn) *batchWriter {
 	w := &batchWriter{conn: conn}
 	if rc, err := conn.SyscallConn(); err == nil {
 		w.rc = rc
+		w.sendFn = w.sendmmsg
 	}
 	return w
+}
+
+// sendmmsg is the rc.Write callback: one non-blocking sendmmsg of
+// msgs[sendFrom:sendEnd].
+func (w *batchWriter) sendmmsg(fd uintptr) bool {
+	g, _, errno := syscall.Syscall6(sysSendmmsg, fd,
+		uintptr(unsafe.Pointer(&w.msgs[w.sendFrom])), uintptr(w.sendEnd-w.sendFrom),
+		uintptr(syscall.MSG_DONTWAIT), 0, 0)
+	if errno == syscall.EAGAIN {
+		return false
+	}
+	w.sendGot, w.sendErr = int(g), errno
+	return true
 }
 
 // coalesceRun returns how many messages starting at msgs[i] fit into
@@ -428,21 +470,11 @@ func (w *batchWriter) write(msgs []outMsg) error {
 	sent := 0
 	var firstErr error
 	for sent < n {
-		var got int
-		var serr syscall.Errno
-		err := w.rc.Write(func(fd uintptr) bool {
-			g, _, errno := syscall.Syscall6(sysSendmmsg, fd,
-				uintptr(unsafe.Pointer(&w.msgs[sent])), uintptr(n-sent),
-				uintptr(syscall.MSG_DONTWAIT), 0, 0)
-			if errno == syscall.EAGAIN {
-				return false
-			}
-			got, serr = int(g), errno
-			return true
-		})
-		if err != nil {
+		w.sendFrom, w.sendEnd = sent, n
+		if err := w.rc.Write(w.sendFn); err != nil {
 			return err
 		}
+		got, serr := w.sendGot, w.sendErr
 		if serr != 0 {
 			if serr == syscall.ENOSYS || serr == syscall.EPERM {
 				mmsgSupported.Store(false)

@@ -50,6 +50,11 @@ const (
 	gsoCmsgSpace = syscall.SizeofCmsghdr + 8
 	// groBufSize sizes a GRO-armed receive slot for a full supersegment.
 	groBufSize = 64 << 10
+	// groBatch is how many slots a GRO-armed reader has: fewer than
+	// mmsgBatch, since each holds a 64 KiB supersegment of up to 64
+	// datagrams, so one recvmmsg still drains up to 512 datagrams while
+	// the reader pins half the memory.
+	groBatch = 8
 	// offloadSockBuf is the SO_RCVBUF/SO_SNDBUF requested for
 	// offload-armed sockets: room for dozens of supersegment bursts
 	// (the kernel clamps to rmem_max/wmem_max).

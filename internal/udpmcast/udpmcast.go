@@ -20,6 +20,8 @@ package udpmcast
 import (
 	"fmt"
 	"net"
+	"net/netip"
+	"slices"
 	"sync"
 	"syscall"
 
@@ -60,6 +62,14 @@ func (s *sendState) encBuf(i int) []byte {
 	return s.enc[i][:0]
 }
 
+// cloneAddr deep-copies a source address the batch reader returned: the
+// reader rewrites its slots' addresses, IP bytes included, on every read.
+func cloneAddr(src *net.UDPAddr) *net.UDPAddr {
+	a := *src
+	a.IP = slices.Clone(src.IP)
+	return &a
+}
+
 // SenderTransport is the sender-side UDP endpoint.
 type SenderTransport struct {
 	conn  *net.UDPConn
@@ -75,7 +85,7 @@ type SenderTransport struct {
 	pend []transport.Envelope
 
 	mu    sync.Mutex
-	ids   map[string]packet.NodeID
+	ids   map[netip.AddrPort]packet.NodeID
 	addrs map[packet.NodeID]*net.UDPAddr
 	next  packet.NodeID
 }
@@ -134,7 +144,7 @@ func NewSenderTransport(group string, opts ...SenderOption) (*SenderTransport, e
 		conn:  conn,
 		group: gaddr,
 		br:    newBatchReaderOffload(conn),
-		ids:   make(map[string]packet.NodeID),
+		ids:   make(map[netip.AddrPort]packet.NodeID),
 		addrs: make(map[packet.NodeID]*net.UDPAddr),
 		next:  peerIDBase,
 	}
@@ -257,15 +267,14 @@ func (t *SenderTransport) RecvBatch(out []transport.Envelope) (int, error) {
 				}
 				if !resolved {
 					resolved = true
-					key := src.String()
+					key := src.AddrPort()
 					t.mu.Lock()
 					var ok bool
 					if id, ok = t.ids[key]; !ok {
 						id = t.next
 						t.next++
 						t.ids[key] = id
-						a := *src // src aliases reader-owned storage; keep a copy
-						t.addrs[id] = &a
+						t.addrs[id] = cloneAddr(src)
 					}
 					t.mu.Unlock()
 				}
@@ -402,8 +411,7 @@ func (t *ReceiverTransport) readLoop(br *batchReader, learnSender bool) {
 			if learnSender && len(batch) > before {
 				t.mu.Lock()
 				if t.sender == nil {
-					a := *src // src aliases reader-owned storage
-					t.sender = &a
+					t.sender = cloneAddr(src)
 				}
 				t.mu.Unlock()
 			}

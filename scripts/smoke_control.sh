@@ -28,7 +28,7 @@ go build -o "$TMP/hrmcd" ./cmd/hrmcd
 
 cat >"$TMP/config.json" <<EOF
 {
-  "tick_ms": 10,
+  "tick_ms": 1,
   "stats_every_sec": 0,
   "loopback": true,
   "listen": "unix:$SOCK",
