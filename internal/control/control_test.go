@@ -235,6 +235,10 @@ func TestControlAdmitTransferObserve(t *testing.T) {
 		`hrmc_receiver_fec_recovered{flow="mirror"`,
 		`hrmc_receiver_fec_fallback_naks{flow="mirror"`,
 		`hrmc_receiver_fec_parity_wasted{flow="mirror"`,
+		// Feedback-clocked UPDATEs, told apart from periodic ones. Only
+		// presence is checked: this stream may end on its FIN inside
+		// one reporting stride.
+		`hrmc_receiver_updates_progress{flow="mirror"`,
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics output missing %q\n--- got ---\n%s", want, metrics)

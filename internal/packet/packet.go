@@ -26,6 +26,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -387,41 +388,53 @@ func verifyChecksum(buf []byte) error {
 // zeroed them. Callers encoding a packet should zero the checksum field
 // first; Encode does this implicitly by computing before filling it in.
 func Checksum(b []byte) uint16 {
-	var sum uint32
-	n := len(b)
-	for i := 0; i+1 < n; i += 2 {
-		sum += uint32(b[i])<<8 | uint32(b[i+1])
-	}
-	if n%2 == 1 {
-		sum += uint32(b[n-1]) << 8
-	}
-	for sum > 0xFFFF {
-		sum = (sum >> 16) + (sum & 0xFFFF)
-	}
-	return ^uint16(sum)
+	return ^fold(sum64(b))
 }
 
 // checksumZeroed computes the Internet checksum of b treating the two
-// bytes at off as zero.
+// bytes at off as zero. Only an even off names a checksum word; any
+// other off leaves b whole.
 func checksumZeroed(b []byte, off int) uint16 {
-	var sum uint32
-	n := len(b)
-	for i := 0; i+1 < n; i += 2 {
-		hi, lo := b[i], b[i+1]
-		if i == off {
-			hi, lo = 0, 0
-		}
-		sum += uint32(hi)<<8 | uint32(lo)
+	if off < 0 || off >= len(b) || off%2 != 0 {
+		return Checksum(b)
 	}
-	if n%2 == 1 {
-		v := b[n-1]
-		if n-1 == off {
-			v = 0
-		}
-		sum += uint32(v) << 8
+	// Both segments start on a word boundary, so their sums add.
+	s, c := bits.Add64(sum64(b[:off]), sum64(b[min(off+2, len(b)):]), 0)
+	return ^fold(s + c)
+}
+
+// sum64 is the ones' complement sum of b read as big-endian 16-bit
+// words (an odd last byte is the high half of a final word), taken 8
+// bytes at a time with end-around carry as in Linux csum_partial. Each
+// word lands on a 16-bit boundary of a 64-bit lane, and 2^16 ≡ 1 modulo
+// 0xFFFF, so folding the result gives the word-by-word sum exactly.
+func sum64(b []byte) uint64 {
+	var s, c uint64
+	for ; len(b) >= 32; b = b[32:] {
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(b), c)
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(b[8:]), c)
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(b[16:]), c)
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(b[24:]), c)
 	}
-	for sum > 0xFFFF {
-		sum = (sum >> 16) + (sum & 0xFFFF)
+	for ; len(b) >= 8; b = b[8:] {
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(b), c)
 	}
-	return ^uint16(sum)
+	var tail uint64
+	for i, v := range b {
+		tail |= uint64(v) << (56 - 8*i)
+	}
+	s, c = bits.Add64(s, tail, c)
+	// Adding the last carry overflows only from all-ones, leaving 0.
+	s, c = bits.Add64(s, c, 0)
+	return s + c
+}
+
+// fold reduces a ones' complement sum to 16 bits with end-around carry.
+// A nonzero sum never folds to zero, matching the word-by-word loop.
+func fold(s uint64) uint16 {
+	s = s>>32 + s&0xFFFFFFFF
+	s = s>>32 + s&0xFFFFFFFF
+	s = s>>16 + s&0xFFFF
+	s = s>>16 + s&0xFFFF
+	return uint16(s)
 }

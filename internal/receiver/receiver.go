@@ -130,6 +130,16 @@ type Config struct {
 	// once, so a lost LEAVE leaves the handshake (and Done) open forever;
 	// live drivers that wait on Done enable it (the session does).
 	RetryLeave bool
+	// ProgressUpdates clocks feedback by delivery instead of by the
+	// Update Generator alone: a flat H-RMC receiver (not RMC, not a
+	// repair head or leaf) also sends an UPDATE when its in-order
+	// frontier has advanced a quarter of the receive window since the
+	// last value it reported, and when a KEEPALIVE arrives while it
+	// holds in-order data it has not reported. A sender with a known
+	// population then frees its window one round trip after delivery
+	// instead of at the MINBUF deadline. Off is the paper's receiver;
+	// live drivers enable it (the session does).
+	ProgressUpdates bool
 
 	// Head makes this receiver a repair head (hierarchical recovery
 	// extension): it tracks downstream members, answers their HEAD_NAKs
@@ -262,6 +272,9 @@ type Receiver struct {
 	updatePeriod  sim.Time
 	probesInPer   int  // probes received during the current period
 	feedbackInPer bool // other reverse traffic sent during the period
+	// lastReported is the in-order frontier the last UPDATE carried
+	// (Config.ProgressUpdates measures progress from it).
+	lastReported seqspace.Seq
 
 	// JOIN handshake. The JOIN is retried until JOIN_RESPONSE arrives:
 	// membership is load-bearing in H-RMC (the sender holds releases for
@@ -356,6 +369,7 @@ func New(cfg Config) *Receiver {
 		pending:      make(map[seqspace.Seq]*nakEntry),
 		updatePeriod: cfg.InitialUpdatePeriod,
 		rttEstimate:  cfg.AssumedRTT,
+		lastReported: cfg.InitialSeq,
 	}
 	if cfg.Mode == HRMC && cfg.Head == nil {
 		// A repair head replaces the per-receiver Update Generator with
@@ -915,9 +929,11 @@ func (r *Receiver) anchor(seq seqspace.Seq) {
 	if !r.wnd.Rebase(seq) {
 		// Data already anchored the window; record where it stands.
 		r.rebasedTo, r.rebased = r.wnd.Base(), true
-		return
+	} else {
+		r.rebasedTo, r.rebased = seq, true
 	}
-	r.rebasedTo, r.rebased = seq, true
+	// The skipped history is not progress to report.
+	r.lastReported = r.rebasedTo
 }
 
 // anchorAndJoin anchors at seq and starts the JOIN handshake — the path
@@ -981,10 +997,9 @@ func (r *Receiver) onData(now sim.Time, p *packet.Packet) bool {
 		r.pruneFecCache()
 	}
 	r.syncNakList(now)
-	if p.FIN() {
-		// The FIN itself may still be out of order; delivery tracking
-		// happens in Read.
-		_ = p
+	if r.progressUpdates() &&
+		seqspace.Diff(r.wnd.Next(), r.lastReported) >= int32(max(r.wnd.Size()/4, 1)) {
+		r.sendProgressUpdate(now)
 	}
 	r.maybeRateRequest(now)
 	return true
@@ -1426,6 +1441,11 @@ func (r *Receiver) onKeepalive(now sim.Time, p *packet.Packet) {
 	// have not received through it, the tail of a burst was lost.
 	r.wnd.ExtendHighest(seqspace.Seq(p.Seq))
 	r.syncNakList(now)
+	// A KEEPALIVE means the sender is idle or blocked: report in-order
+	// data it has not heard of, which may be what frees its window.
+	if r.progressUpdates() && seqspace.After(r.wnd.Next(), r.lastReported) {
+		r.sendProgressUpdate(now)
+	}
 }
 
 func (r *Receiver) onProbe(now sim.Time, p *packet.Packet) {
@@ -1545,11 +1565,29 @@ func (r *Receiver) onJoinResponse(now sim.Time, from packet.NodeID) {
 func (r *Receiver) sendUpdate(now sim.Time) {
 	r.st.UpdatesSent++
 	trace.Emit(r.cfg.Trace, now, trace.UpdateSent, uint32(r.wnd.Next()), 0)
+	r.lastReported = r.reportedNext()
 	r.emit(&packet.Packet{Header: packet.Header{
 		Type: packet.TypeUpdate,
-		Seq:  uint32(r.reportedNext()),
+		Seq:  uint32(r.lastReported),
 	}})
-	_ = now
+}
+
+// progressUpdates reports whether delivery progress triggers UPDATEs
+// (Config.ProgressUpdates): only a flat H-RMC receiver still receiving
+// the stream. A repair head aggregates on its own clock, a leaf reports
+// to its head, RMC has no release feedback, and after the FIN the LEAVE
+// carries the final state.
+func (r *Receiver) progressUpdates() bool {
+	return r.cfg.ProgressUpdates && r.cfg.Mode == HRMC && r.head == nil &&
+		r.leafHead() == 0 && !r.finDelivered
+}
+
+// sendProgressUpdate sends a feedback-clocked UPDATE; it informs the
+// current period, so the Update Generator skips its periodic one.
+func (r *Receiver) sendProgressUpdate(now sim.Time) {
+	r.st.UpdatesProgress++
+	r.sendUpdate(now)
+	r.feedbackInPer = true
 }
 
 // sendAggUpdate emits one aggregated UPDATE to the sender (head mode):

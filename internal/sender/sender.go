@@ -88,7 +88,9 @@ type Config struct {
 	// EarlyProbeRTTs is the early-probe extension (Section 7, item 1):
 	// when positive, probe lagging receivers this many round trips
 	// before the release deadline instead of at it, hiding the probe
-	// round trip behind the tail of the MINBUF wait.
+	// round trip behind the tail of the MINBUF wait. The lead is
+	// clamped to MinBufRTTs-1 round trips, so the front has been out at
+	// least one round trip before it is probed.
 	EarlyProbeRTTs float64
 	// MulticastProbeThreshold is the multicast-probe extension (Section
 	// 7, item 2): when positive and at least this many receivers need
@@ -1080,14 +1082,23 @@ func (s *Sender) maybeEarlyProbe(now sim.Time, minHold sim.Time) {
 	if e == nil || !e.Sent() {
 		return
 	}
-	lead := sim.Time(s.cfg.EarlyProbeRTTs * float64(s.pacingRTT()))
-	if now-e.LastSent < minHold-lead {
+	if now-e.LastSent < minHold-s.earlyProbeLead() {
 		return
 	}
 	seq := s.wnd.Base()
 	if !s.members.AllPast(seq) {
 		s.probeLacking(now, seq)
 	}
+}
+
+// earlyProbeLead is how long before the MINBUF deadline the early-probe
+// extension probes, clamped to MinBufRTTs-1 round trips: a probe for
+// data sent within the last round trip can overtake the data itself (a
+// unicast PROBE passing a multicast burst), and the receiver would NAK
+// data that is still on its way.
+func (s *Sender) earlyProbeLead() sim.Time {
+	rtts := min(s.cfg.EarlyProbeRTTs, float64(s.cfg.MinBufRTTs-1))
+	return sim.Time(rtts * float64(s.pacingRTT()))
 }
 
 // probeLacking unicasts PROBE packets to every member whose state does
@@ -1264,8 +1275,7 @@ func (s *Sender) NextWake() (at sim.Time, ok bool) {
 		} else if t := e.LastSent + hold; t > s.lastTick {
 			wake(t)
 			if s.cfg.Mode == HRMC && s.cfg.EarlyProbeRTTs > 0 {
-				lead := sim.Time(s.cfg.EarlyProbeRTTs * float64(s.pacingRTT()))
-				if t-lead > s.lastTick {
+				if lead := s.earlyProbeLead(); t-lead > s.lastTick {
 					wake(t - lead)
 				}
 			}

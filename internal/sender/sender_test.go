@@ -616,6 +616,37 @@ func TestEarlyProbeExtension(t *testing.T) {
 	}
 }
 
+// TestEarlyProbeLeadClamped: a lead of the whole MINBUF hold would
+// probe the front in the tick that sent it, and a unicast PROBE that
+// overtakes the multicast data makes the receiver NAK data still on its
+// way. The lead is clamped so the front is at least one pacing RTT old.
+func TestEarlyProbeLeadClamped(t *testing.T) {
+	s := newS(t, func(c *Config) {
+		c.MinBufRTTs = 10
+		c.InitialRTT = 20 * sim.Millisecond
+		c.EarlyProbeRTTs = 10
+	})
+	s.Write(0, make([]byte, 1000))
+	s.Close(0)
+	sent := kernel.Jiffy
+	s.Tick(sent)
+	s.HandlePacket(sent, 1, fb(packet.TypeJoin, 0))
+	s.Outgoing()
+	var probeAt sim.Time
+	for now := sent + kernel.Jiffy; probeAt == 0 && now < sent+10*s.pacingRTT(); now += kernel.Jiffy {
+		s.Tick(now)
+		if findOut(s.Outgoing(), packet.TypeProbe) != nil {
+			probeAt = now
+		}
+	}
+	if probeAt == 0 {
+		t.Fatal("no early probe before the MINBUF deadline")
+	}
+	if age := probeAt - sent; age < s.pacingRTT() {
+		t.Errorf("front probed %v after it was sent, younger than the pacing RTT %v", age, s.pacingRTT())
+	}
+}
+
 func TestJoinSamplesRTT(t *testing.T) {
 	s := newS(t, func(c *Config) { c.InitialRTT = 500 * sim.Millisecond })
 	s.Write(0, make([]byte, 1000))

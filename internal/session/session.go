@@ -810,6 +810,10 @@ func (s *Session) OpenReceiver(tr transport.Transport, cfg receiver.Config, opts
 	// Close and Done wait on the LEAVE handshake, so a lost LEAVE must
 	// not hold it open.
 	cfg.RetryLeave = true
+	// Report delivery progress as it happens, so a sender with a known
+	// population frees its window a round trip after delivery rather
+	// than at the MINBUF deadline.
+	cfg.ProgressUpdates = true
 	f := &ReceiverFlow{}
 	f.init(s, KindReceiver, tr, cfg.LocalPort, opts)
 	if f.fec.Enabled {

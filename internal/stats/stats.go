@@ -85,6 +85,7 @@ type Receiver struct {
 	NakRetries      int64 // NAK resends by the NAK manager
 	UpdatesSent     int64
 	UpdatesSkipped  int64 // update timer fired but other reverse traffic sufficed
+	UpdatesProgress int64 // UPDATEs sent on delivery progress or a KEEPALIVE, not the timer
 	ProbesReceived  int64
 	RateRequests    int64 // warning CONTROL packets sent
 	UrgentRequests  int64 // URG CONTROL packets sent
