@@ -173,9 +173,9 @@ func benchUdpCrossover(b *testing.B, loss float64, fecK int) {
 			b.Skipf("loopback multicast unavailable: %v", err)
 		}
 		lossy := &lossyUDP{
-			ReceiverTransport: rt,
-			p:                 loss,
-			rng:               rand.New(rand.NewSource(int64(43 + i))),
+			GroupTransport: rt,
+			p:              loss,
+			rng:            rand.New(rand.NewSource(int64(43 + i))),
 		}
 		runCrossoverTransfer(b, sink, data, scratch, lossy, st, fecK, fast)
 	}
@@ -247,10 +247,9 @@ func runCrossoverTransfer(b *testing.B, sink *gapSink, data, scratch []byte, rtr
 // lossyUDP injects downlink loss into a real-UDP receiver transport:
 // each inbound packet is dropped independently with probability p,
 // seeded deterministically. It overrides both the batch and the
-// per-packet receive paths so the loss draw happens regardless of how
-// the session lifts the transport.
+// per-packet receive paths so every arrival takes the loss draw.
 type lossyUDP struct {
-	*udpmcast.ReceiverTransport
+	*udpmcast.GroupTransport
 	p   float64
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -258,7 +257,7 @@ type lossyUDP struct {
 
 func (l *lossyUDP) RecvBatch(buf []transport.Envelope) (int, error) {
 	for {
-		n, err := l.ReceiverTransport.RecvBatch(buf)
+		n, err := l.GroupTransport.RecvBatch(buf)
 		if n == 0 || err != nil {
 			return n, err
 		}

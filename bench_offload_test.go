@@ -19,7 +19,7 @@ import (
 // real-socket datapath, offload-on vs offload-off, over loopback
 // multicast. Two arms per setting:
 //
-//   - transport: raw SendBatch blast through a SenderTransport — the
+//   - transport: raw SendBatch blast through a sender endpoint — the
 //     syscall economics in isolation. Custom metrics record
 //     datagrams-per-syscall (dgram/syscall) and how much traffic rode
 //     GSO supersegments / arrived as GRO supersegments.

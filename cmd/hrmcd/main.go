@@ -231,7 +231,7 @@ func newDialer(cfg *Config) (control.Dialer, func(), error) {
 	shards := make([]transport.GroupTransport, 0, cfg.Shards)
 	closeAll := func() {
 		for _, s := range shards {
-			s.(*udpmcast.GroupTransport).Close()
+			s.Close()
 		}
 	}
 	for i := 0; i < cfg.Shards; i++ {

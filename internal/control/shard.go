@@ -80,10 +80,7 @@ func (d *ShardedDialer) Dial(spec FlowSpec) (Link, error) {
 	}
 	var once sync.Once
 	release := func() { once.Do(func() { d.release(i, gid) }) }
-	// AsTransport is a no-op for shard transports that already expose
-	// the per-packet surface (udpmcast's does); otherwise it narrows the
-	// batch interface for the session to re-widen with Batched.
-	return Link{Transport: transport.AsTransport(tr), Group: gid, Shared: true, Release: release}, nil
+	return Link{Transport: tr, Group: gid, Shared: true, Release: release}, nil
 }
 
 // release drops one flow's use of gid on shard i, leaving the group

@@ -51,7 +51,8 @@ func forgetWhenTerminal(t *testing.T, m *Manager, id int) {
 // shard. Each group is joined by a receiver and registered by a sender
 // sharing its reference count; forgetting both must drop the IGMP
 // membership, or the shard starts refusing joins (ENOBUFS) once the
-// limit is reached. A transfer on a final fresh group then checks the
+// limit is reached, and the group's send resolution, or the shard's
+// group table grows with every group it ever served. A transfer on a final fresh group then checks the
 // shard still carries traffic.
 func TestShardedDialerReleasesMemberships(t *testing.T) {
 	const port = 47431
@@ -93,8 +94,9 @@ func TestShardedDialerReleasesMemberships(t *testing.T) {
 		forgetWhenTerminal(t, mgr, rcv.ID)
 		forgetWhenTerminal(t, mgr, snd.ID)
 	}
-	if st := gt.GroupStats(); st.Joined != 0 {
-		t.Errorf("after forgetting every flow the shard still holds %d memberships", st.Joined)
+	if st := gt.GroupStats(); st.Joined != 0 || st.Registered != 0 {
+		t.Errorf("after forgetting every flow the shard still holds %d memberships and %d resolved groups",
+			st.Joined, st.Registered)
 	}
 
 	const size = 64 << 10

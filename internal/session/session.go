@@ -11,11 +11,10 @@
 //     next wake-up, rounded up to the grain, in a per-session min-heap,
 //     and the loop sleeps until the earliest one falls due — so idle
 //     flows cost nothing however fine the grain;
-//   - one batched receive loop per transport (the transport's native
-//     BatchTransport interface, or any per-packet Transport lifted by
-//     transport.Batched), with a port-based demultiplexer that drains
-//     a whole batch, groups envelopes by destination port, and hands
-//     each flow its slice under one flow-lock acquisition per batch —
+//   - one batched receive loop per transport, with a port-based
+//     demultiplexer that drains a whole RecvBatch, groups envelopes by
+//     destination port, and hands each flow its slice under one
+//     flow-lock acquisition per batch —
 //     the 20-byte H-RMC header carries src/dst ports end to end, so
 //     flows sharing a transport need no extra framing. A flow bound
 //     to port 0 acts as the wildcard and receives every packet with
@@ -552,12 +551,9 @@ func (s *Session) Budget() float64 {
 const recvBatchSize = 64
 
 // recvLoop is the per-transport receive driver plus its demultiplexer.
-// The transport is driven through its batch interface (a native
-// BatchTransport, or any per-packet Transport lifted to batch size 1
-// by transport.Batched).
+// The transport is driven through its batch methods.
 type recvLoop struct {
 	tr transport.Transport
-	bt transport.BatchTransport
 	// sendShard is the send-poller shard every flow of this transport
 	// stages onto, assigned round-robin at loop creation; immutable.
 	sendShard int
@@ -610,7 +606,7 @@ func (l *recvLoop) unbind(port uint16, f anyFlow) {
 // (port 0) binding clears the filter — everything must be delivered.
 // Transports without filter support demux-drop as before.
 func (l *recvLoop) refreshFilter() {
-	ft, ok := l.bt.(transport.FilteredTransport)
+	ft, ok := l.tr.(transport.FilteredTransport)
 	if !ok {
 		return
 	}
@@ -661,7 +657,7 @@ func (s *Session) runRecv(l *recvLoop) {
 	flows := make([]anyFlow, recvBatchSize)
 	var groups []flowGroup
 	for {
-		n, err := l.bt.RecvBatch(env)
+		n, err := l.tr.RecvBatch(env)
 		if err != nil {
 			for _, f := range l.bound() {
 				f.base().fail(err)
@@ -732,7 +728,7 @@ func (s *Session) attach(f anyFlow) error {
 	}
 	l, ok := s.loops[b.tr]
 	if !ok {
-		l = &recvLoop{tr: b.tr, bt: b.bt, byPort: make(map[uint16]anyFlow)}
+		l = &recvLoop{tr: b.tr, byPort: make(map[uint16]anyFlow)}
 		l.sendShard = s.nextShard % len(s.sendShards)
 		s.nextShard++
 		s.loops[b.tr] = l

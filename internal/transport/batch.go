@@ -1,18 +1,13 @@
 // Transport v2: the batch-first interface. Every layer of the live
 // stack — the udpmcast syscall boundary, the in-memory hub, and the
 // session demultiplexer — moves envelopes in batches, amortizing one
-// syscall / lock acquisition / dispatch over many packets. The
-// per-packet Transport interface survives as a batch-size-1
-// compatibility adapter (see AsTransport and the hub/udpmcast Send and
-// Recv methods), so single-flow users keep their simple API while the
-// hot paths underneath run batched.
+// syscall / lock acquisition / dispatch over many packets. Transport
+// extends BatchTransport with per-packet Send and Recv, which every
+// implementation provides as batch-size-1 adapters over the batch
+// methods.
 package transport
 
-import (
-	"sync"
-
-	"repro/internal/packet"
-)
+import "repro/internal/packet"
 
 // Envelope is one packet in flight with its addressing. On the send
 // side To and Multicast select the destination (To is ignored for
@@ -72,88 +67,7 @@ type FilteredTransport interface {
 	SetInboundFilter(f InboundFilterFunc)
 }
 
-// Batched resolves the batch interface for any transport: a native
-// BatchTransport is used directly; anything else is wrapped in a
-// batch-size-1 adapter. This is how internal/session runs every
-// transport through one batched receive loop.
-func Batched(tr Transport) BatchTransport {
-	if bt, ok := tr.(BatchTransport); ok {
-		return bt
-	}
-	return &batchAdapter{tr: tr}
-}
-
-// batchAdapter lifts a per-packet Transport to BatchTransport with
-// batch size 1 — the compatibility path for third-party Transport
-// implementations that have no native batch support.
-type batchAdapter struct{ tr Transport }
-
-func (a *batchAdapter) SendBatch(env []Envelope) error {
-	var firstErr error
-	for i := range env {
-		if err := a.tr.Send(env[i].Pkt, env[i].Multicast, env[i].To); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-func (a *batchAdapter) RecvBatch(buf []Envelope) (int, error) {
-	if len(buf) == 0 {
-		return 0, nil
-	}
-	p, from, err := a.tr.Recv()
-	if err != nil {
-		return 0, err
-	}
-	buf[0] = Envelope{Pkt: p, From: from}
-	return 1, nil
-}
-
-func (a *batchAdapter) Local() packet.NodeID { return a.tr.Local() }
-func (a *batchAdapter) Close() error         { return a.tr.Close() }
-
-// AsTransport adapts a BatchTransport to the per-packet Transport
-// interface (batch size 1). Transport is the documented compatibility
-// surface of the pre-batch API: existing per-packet callers (core,
-// hrmcsock, the examples) keep compiling against it, while new drivers
-// should implement and consume BatchTransport directly. Recv buffers
-// nothing — each call asks the underlying transport for exactly one
-// envelope — so adapter users keep strict one-in one-out semantics.
-func AsTransport(bt BatchTransport) Transport {
-	if tr, ok := bt.(Transport); ok {
-		return tr
-	}
-	return &packetAdapter{bt: bt}
-}
-
-// packetAdapter narrows a BatchTransport to the per-packet surface.
-type packetAdapter struct {
-	bt BatchTransport
-
-	mu  sync.Mutex
-	one [1]Envelope
-}
-
-func (a *packetAdapter) Send(p *packet.Packet, multicast bool, node packet.NodeID) error {
-	return a.bt.SendBatch([]Envelope{{Pkt: p, Multicast: multicast, To: node}})
-}
-
-func (a *packetAdapter) Recv() (*packet.Packet, packet.NodeID, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for {
-		n, err := a.bt.RecvBatch(a.one[:])
-		if err != nil {
-			return nil, 0, err
-		}
-		if n == 1 {
-			e := a.one[0]
-			a.one[0] = Envelope{}
-			return e.Pkt, e.From, nil
-		}
-	}
-}
-
-func (a *packetAdapter) Local() packet.NodeID { return a.bt.Local() }
-func (a *packetAdapter) Close() error         { return a.bt.Close() }
+// Batched returns tr: every Transport is a BatchTransport.
+//
+// Deprecated: use tr directly.
+func Batched(tr Transport) BatchTransport { return tr }

@@ -1,10 +1,10 @@
 // Group-addressed transport: one endpoint, many multicast groups.
 //
-// The per-group transports (udpmcast's SenderTransport and
-// ReceiverTransport, hub endpoints) burn one endpoint per group, which
-// caps how many groups a process can serve: fds and receive loops grow
-// O(groups). A GroupTransport amortizes the endpoint instead — a single
-// socket (pair) joins N groups, arriving traffic is demultiplexed on
+// A transport serving one group per endpoint (udpmcast's single-group
+// constructors, one hub endpoint per flow) burns one endpoint per
+// group, which caps how many groups a process can serve: fds and
+// receive loops grow O(groups). A GroupTransport amortizes the endpoint
+// instead — a single socket (pair) joins N groups, arriving traffic is demultiplexed on
 // the destination group address, and outgoing multicast is addressed
 // per envelope via Envelope.Group. internal/session hosts many flows on
 // one shared GroupTransport, so a daemon's fd and goroutine counts are
@@ -14,7 +14,8 @@
 // implementation uses the IPv4 group address (a uint32) so the kernel's
 // IP_PKTINFO destination maps straight to the ID; the hub assigns dense
 // IDs per group name. ID 0 is reserved: it marks "no group" — a unicast
-// arrival, or a flow on a classic single-group transport.
+// arrival, or a flow on a single-group endpoint, whose Group 0
+// multicast goes to the endpoint's own group.
 package transport
 
 // GroupID identifies one multicast group within a GroupTransport. Zero
@@ -49,13 +50,13 @@ type GroupReporter interface {
 	GroupStats() GroupStats
 }
 
-// GroupTransport is a BatchTransport hosting many multicast groups on
-// one endpoint. Outgoing multicast envelopes select their group with
+// GroupTransport is a Transport hosting many multicast groups on one
+// endpoint. Outgoing multicast envelopes select their group with
 // Envelope.Group; arriving multicast is tagged with the group it was
 // addressed to (unicast arrivals carry Group 0). Implementations must
 // be safe for concurrent use.
 type GroupTransport interface {
-	BatchTransport
+	Transport
 	// Join makes the endpoint a member of the named group — its traffic
 	// is received from now on — and returns the group's ID for envelope
 	// addressing. Joining an already-joined group is idempotent and
@@ -65,7 +66,11 @@ type GroupTransport interface {
 	// member: send-only flows address the group but do not receive its
 	// traffic (no IGMP join, no cross-sender chatter).
 	Register(group string) (GroupID, error)
-	// Leave drops membership of gid. Leaving a group that was only
-	// registered, or never seen, is a no-op.
+	// Leave ends the endpoint's use of gid: it drops the membership,
+	// if any, and forgets the group's send resolution where the
+	// transport keeps one, so multicast to gid fails until the group is
+	// joined or registered again. Call it once no flow uses gid; a
+	// long-lived endpoint's group table then stays bounded by the
+	// groups in use. Leaving a never-seen group is a no-op.
 	Leave(gid GroupID) error
 }

@@ -8,8 +8,8 @@
 // BatchTransport in batch.go): implementations move []Envelope batches
 // so one syscall or lock acquisition is amortized over many packets,
 // and hot receive paths draw packet buffers from the shared pool
-// (GetPacket/PutPacket). The per-packet Transport interface below is
-// retained as the compatibility surface for existing callers.
+// (GetPacket/PutPacket). Transport adds per-packet Send and Recv on
+// top, as batch-size-1 adapters.
 package transport
 
 import (
@@ -25,29 +25,18 @@ import (
 // ErrClosed is returned by operations on a closed transport.
 var ErrClosed = errors.New("transport: closed")
 
-// Transport moves encoded H-RMC packets between one sender and many
-// receivers, one packet per call. Implementations must be safe for
-// concurrent use.
-//
-// Deprecated-in-spirit, kept-in-practice: Transport is the documented
-// compatibility surface of the pre-batch API. Every transport in this
-// repository implements the batch-first BatchTransport natively and
-// exposes these methods as thin batch-size-1 adapters; internal/core,
-// internal/hrmcsock, and the examples keep compiling unchanged against
-// it. New transport implementations should implement BatchTransport
-// (Batched lifts any remaining per-packet implementation), and new
-// drivers should consume BatchTransport directly as internal/session
-// does.
+// Transport is a BatchTransport with per-packet Send and Recv. Every
+// transport in this repository implements it, the per-packet methods
+// as batch-size-1 adapters over SendBatch and RecvBatch. Drivers
+// consume the batch methods, as internal/session does. Implementations
+// must be safe for concurrent use.
 type Transport interface {
+	BatchTransport
 	// Send transmits p to the whole group (multicast) or to one node.
 	Send(p *packet.Packet, multicast bool, node packet.NodeID) error
 	// Recv blocks until a packet arrives and returns it with the
 	// source's node ID. It returns ErrClosed after Close.
 	Recv() (*packet.Packet, packet.NodeID, error)
-	// Local returns this endpoint's node ID.
-	Local() packet.NodeID
-	// Close shuts the endpoint down and unblocks Recv.
-	Close() error
 }
 
 // hubInboxDepth bounds each endpoint's pending-delivery queue, playing
@@ -107,9 +96,7 @@ func NewHub(opts ...HubOption) *Hub {
 	return h
 }
 
-// Endpoint creates a new endpoint attached to the hub. The returned
-// Transport also implements BatchTransport (the hub's native
-// interface); internal/session discovers that via Batched.
+// Endpoint creates a new endpoint attached to the hub.
 func (h *Hub) Endpoint() Transport {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -165,8 +152,6 @@ type hubEndpoint struct {
 }
 
 var (
-	_ Transport         = (*hubEndpoint)(nil)
-	_ BatchTransport    = (*hubEndpoint)(nil)
 	_ FilteredTransport = (*hubEndpoint)(nil)
 	_ GroupTransport    = (*hubEndpoint)(nil)
 )

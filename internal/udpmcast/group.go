@@ -1,8 +1,7 @@
-// Shared-socket group transport: configuration and stats shared by the
-// Linux implementation (group_linux.go) and the stub for platforms
-// without the batch syscalls + IP_PKTINFO plumbing (group_stub.go).
+// Shared-socket shards: the configuration of NewGroupTransport, built on
+// Linux by group_linux.go and refused elsewhere by group_stub.go.
 //
-// A GroupTransport is one socket pair hosting many multicast groups:
+// A shard is one socket pair hosting many multicast groups:
 //
 //   - mconn binds the shared data port with SO_REUSEADDR, joins every
 //     group via IP_ADD_MEMBERSHIP, disables IP_MULTICAST_ALL (so it
@@ -30,9 +29,10 @@ import (
 	"net"
 )
 
-// ErrGroupUnsupported reports that the shared-socket group transport is
-// unavailable on this platform (it needs the Linux recvmmsg +
-// IP_PKTINFO plumbing); callers fall back to one transport per group.
+// ErrGroupUnsupported reports that shards and group memberships are
+// unavailable on this platform (they need the Linux recvmmsg +
+// IP_PKTINFO plumbing); callers fall back to one single-group endpoint
+// per flow.
 var ErrGroupUnsupported = errors.New("udpmcast: shared-socket group transport requires linux amd64/arm64")
 
 // GroupConfig configures a shared-socket group transport.

@@ -1,34 +1,15 @@
 //go:build !linux || (!amd64 && !arm64)
 
-// GroupTransport stub for platforms without the recvmmsg/IP_PKTINFO
-// plumbing: construction fails with ErrGroupUnsupported, and callers
-// (hrmcd's sharded mode) fall back to one transport per group.
+// Shard stubs for platforms without the recvmmsg/IP_PKTINFO plumbing:
+// NewGroupTransport fails with ErrGroupUnsupported, and callers
+// (hrmcd's sharded mode) fall back to one single-group endpoint per
+// flow.
 package udpmcast
 
-import (
-	"repro/internal/packet"
-	"repro/internal/transport"
-)
-
-// GroupTransport is unavailable on this platform; NewGroupTransport
-// always fails, so no method can ever be reached on a live value.
-type GroupTransport struct{}
-
-var _ transport.GroupTransport = (*GroupTransport)(nil)
+import "net"
 
 // NewGroupTransport always fails with ErrGroupUnsupported here.
 func NewGroupTransport(GroupConfig) (*GroupTransport, error) { return nil, ErrGroupUnsupported }
 
-func (t *GroupTransport) Join(string) (transport.GroupID, error)     { return 0, ErrGroupUnsupported }
-func (t *GroupTransport) Register(string) (transport.GroupID, error) { return 0, ErrGroupUnsupported }
-func (t *GroupTransport) Leave(transport.GroupID) error              { return ErrGroupUnsupported }
-func (t *GroupTransport) SendBatch([]transport.Envelope) error       { return ErrGroupUnsupported }
-func (t *GroupTransport) RecvBatch([]transport.Envelope) (int, error) {
-	return 0, ErrGroupUnsupported
-}
-func (t *GroupTransport) Local() packet.NodeID             { return 0 }
-func (t *GroupTransport) Addr() interface{}                { return nil }
-func (t *GroupTransport) Port() int                        { return 0 }
-func (t *GroupTransport) Sockets() int                     { return 0 }
-func (t *GroupTransport) GroupStats() transport.GroupStats { return transport.GroupStats{} }
-func (t *GroupTransport) Close() error                     { return nil }
+// membership always fails with ErrGroupUnsupported here.
+func (t *GroupTransport) membership(net.IP, bool) error { return ErrGroupUnsupported }

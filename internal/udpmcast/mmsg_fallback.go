@@ -17,6 +17,9 @@ type batchReader struct {
 	buf  []byte
 	n    int
 	addr *net.UDPAddr
+	// trunc mirrors the batch reader's per-transport truncation
+	// counter; reads here take up to maxDatagram and never truncate.
+	trunc *atomic.Int64
 }
 
 func newBatchReader(conn *net.UDPConn) *batchReader {
@@ -38,6 +41,9 @@ func (r *batchReader) read(max int) (int, error) {
 func (r *batchReader) datagram(int) ([]byte, *net.UDPAddr) {
 	return r.buf[:r.n], r.addr
 }
+
+// dst reports no destination address: there is no IP_PKTINFO here.
+func (r *batchReader) dst(int) uint32 { return 0 }
 
 // batchWriter sends each message with its own syscall.
 type batchWriter struct {

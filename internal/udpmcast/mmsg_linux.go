@@ -263,9 +263,12 @@ func (r *batchReader) datagram(i int) ([]byte, *net.UDPAddr) {
 }
 
 // dst returns the IPv4 destination address of the i-th datagram of the
-// last read as a big-endian uint32, or 0 when unavailable. Valid only
-// on readers built with newBatchReaderDst.
+// last read as a big-endian uint32, or 0 when unavailable — always on
+// readers not built with newBatchReaderDst.
 func (r *batchReader) dst(i int) uint32 {
+	if !r.wantDst {
+		return 0
+	}
 	if r.lastOne {
 		return r.oneDst
 	}

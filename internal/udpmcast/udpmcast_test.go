@@ -13,6 +13,7 @@ import (
 	"repro/internal/packet"
 	"repro/internal/receiver"
 	"repro/internal/sender"
+	"repro/internal/transport"
 )
 
 const testGroup = "239.66.77.88:39877"
@@ -79,7 +80,7 @@ func TestUDPMulticastTransfer(t *testing.T) {
 	const size = 64 << 10
 	ifi := loopbackInterface(t)
 
-	var rts []*ReceiverTransport
+	var rts []*GroupTransport
 	for i := 0; i < n; i++ {
 		rt, err := NewReceiverTransport(testGroup, ifi)
 		if err != nil {
@@ -99,7 +100,7 @@ func TestUDPMulticastTransfer(t *testing.T) {
 	results := make([][]byte, n)
 	for i, rt := range rts {
 		wg.Add(1)
-		go func(i int, rt *ReceiverTransport) {
+		go func(i int, rt *GroupTransport) {
 			defer wg.Done()
 			rc := core.NewReceiver(rt, receiver.Config{RcvBuf: 64 << 10})
 			got, err := io.ReadAll(rc)
@@ -130,6 +131,73 @@ func TestUDPMulticastTransfer(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("receiver %d delivered %d bytes, equal=%v", i, len(got), bytes.Equal(got, want))
 		}
+	}
+}
+
+// recvSeq drains tr until a packet with the given sequence number
+// arrives and returns its envelope; tr is closed (failing the test) if
+// none arrives in time.
+func recvSeq(t *testing.T, tr *GroupTransport, seq uint32) transport.Envelope {
+	t.Helper()
+	timer := time.AfterFunc(10*time.Second, func() { tr.Close() })
+	defer timer.Stop()
+	buf := make([]transport.Envelope, mmsgBatch)
+	for {
+		n, err := tr.RecvBatch(buf)
+		if err != nil {
+			t.Fatalf("waiting for seq %d: %v", seq, err)
+		}
+		for i := 0; i < n; i++ {
+			e := buf[i]
+			if e.Pkt.Seq == seq {
+				transport.ReleaseEnvelopes(buf[i+1 : n])
+				return e
+			}
+			transport.PutPacket(e.Pkt)
+		}
+	}
+}
+
+// TestSingleGroupEndpointsAddressPeers checks that the single-group
+// constructors build one endpoint: a sender's Group 0 multicast reaches
+// a receiver, which attributes it to the sender's learned node ID, and
+// a unicast reply addressed to that ID reaches the sender.
+func TestSingleGroupEndpointsAddressPeers(t *testing.T) {
+	if !multicastAvailable(t) {
+		t.Skip("IP multicast not available in this environment")
+	}
+	rt, err := NewReceiverTransport(testGroup, loopbackInterface(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	st, err := NewSenderTransport(testGroup, WithEgressIP(net.IPv4(127, 0, 0, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+
+	data := &packet.Packet{Header: packet.Header{Type: packet.TypeKeepalive, Seq: 501}}
+	if err := st.SendBatch([]transport.Envelope{{Pkt: data, Multicast: true}}); err != nil {
+		t.Fatalf("Group 0 multicast: %v", err)
+	}
+	got := recvSeq(t, rt, 501)
+	transport.PutPacket(got.Pkt)
+	if got.From < peerIDBase {
+		t.Fatalf("receiver attributed the multicast to node %v, want a learned ID >= %v", got.From, peerIDBase)
+	}
+	if got.Group != 0 {
+		t.Errorf("single-group arrival tagged with group %v, want 0", got.Group)
+	}
+
+	reply := &packet.Packet{Header: packet.Header{Type: packet.TypeUpdate, Seq: 502}}
+	if err := rt.SendBatch([]transport.Envelope{{Pkt: reply, To: got.From}}); err != nil {
+		t.Fatalf("unicast reply to the learned sender ID: %v", err)
+	}
+	back := recvSeq(t, st, 502)
+	transport.PutPacket(back.Pkt)
+	if back.From < peerIDBase {
+		t.Errorf("sender attributed the reply to node %v, want a learned ID >= %v", back.From, peerIDBase)
 	}
 }
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # bench.sh — run BenchmarkSessionMultiplex at 1/12/64 flows and write
-# BENCH_5.json (ns/op, MB/s, B/op, allocs/op per flow count) next to
-# the recorded Transport-v2 baseline, so the zero-copy datapath win is
-# tracked as a checked-in artifact.
+# BENCH_5.json (ns/op, MB/s, ns/flow, B/op, allocs/op per flow count,
+# parsed by unit label) next to the recorded Transport-v2 baseline, so
+# the zero-copy datapath win is tracked as a checked-in artifact.
 #
 # The 1-flow case is the regression gate: Transport v2 left it at
 # 3.83 MB/s (the single-flow ceiling the zero-copy datapath removes);
@@ -80,10 +80,17 @@ echo "$RAW" | awk -v benchtime="$BENCHTIME" '
 	name = $1
 	sub(/.*flows=/, "", name)
 	sub(/-[0-9]+$/, "", name)
-	# Fields: name iters ns "ns/op" mbs "MB/s" bytes "B/op" allocs "allocs/op"
-	cur[name] = sprintf("{\"ns_op\": %s, \"mb_s\": %s, \"b_op\": %s, \"allocs_op\": %s}",
-		$3, $5, $7, $9)
-	mbs[name] = $5
+	# Custom metrics (ns/flow) shift field positions, so scan
+	# value-unit pairs instead of indexing fixed columns.
+	for (i = 2; i < NF; i++) {
+		if ($(i+1) == "ns/op") ns[name] = $i
+		else if ($(i+1) == "MB/s") mbs[name] = $i
+		else if ($(i+1) == "ns/flow") nsflow[name] = $i
+		else if ($(i+1) == "B/op") bop[name] = $i
+		else if ($(i+1) == "allocs/op") allocs[name] = $i
+	}
+	cur[name] = sprintf("{\"ns_op\": %s, \"mb_s\": %s, \"ns_flow\": %s, \"b_op\": %s, \"allocs_op\": %s}",
+		ns[name], mbs[name], nsflow[name], bop[name], allocs[name])
 	if (!(name in seen)) { order[n++] = name; seen[name] = 1 }
 }
 END {
