@@ -189,20 +189,17 @@ func benchUdpCrossover(b *testing.B, loss float64, fecK int) {
 func runCrossoverTransfer(b *testing.B, sink *gapSink, data, scratch []byte, rtr, str transport.Transport, fecK int, fast rate.Config) {
 	size := len(data)
 	sess := session.New(session.Config{})
-	var opts []session.FlowOption
-	if fecK > 0 {
-		opts = append(opts, session.WithFec(session.FecConfig{Enabled: true, K: fecK}))
-	}
 	rf, err := sess.OpenReceiver(rtr, receiver.Config{
 		LocalPort: 101, RemotePort: 100, RcvBuf: 256 << 10, Trace: sink,
-	}, opts...)
+		FECGroupSize: fecK,
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	sf, err := sess.OpenSender(str, sender.Config{
 		LocalPort: 100, RemotePort: 101, SndBuf: 256 << 10,
-		ExpectedReceivers: 1, MinBufRTTs: 1, Rate: fast,
-	}, opts...)
+		ExpectedReceivers: 1, MinBufRTTs: 1, Rate: fast, FECGroupSize: fecK,
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -265,7 +262,7 @@ func (l *lossyUDP) RecvBatch(buf []transport.Envelope) (int, error) {
 		l.mu.Lock()
 		for i := 0; i < n; i++ {
 			if l.rng.Float64() < l.p {
-				transport.PutPacket(buf[i].Pkt)
+				packet.Put(buf[i].Pkt)
 				buf[i].Pkt = nil
 				continue
 			}

@@ -91,7 +91,7 @@ func benchOffloadTransport(b *testing.B, on bool) {
 			}
 			received.Add(int64(n))
 			for i := 0; i < n; i++ {
-				transport.PutPacket(buf[i].Pkt)
+				packet.Put(buf[i].Pkt)
 				buf[i] = transport.Envelope{}
 			}
 		}

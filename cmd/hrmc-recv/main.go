@@ -11,7 +11,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/session"
 	"repro/internal/udpmcast"
 )
@@ -57,15 +56,20 @@ func main() {
 
 	// All flow knobs funnel through the canonical session.FlowSpec, the
 	// same translation the daemon's control plane admits flows with.
-	spec := session.FlowSpec{Kind: session.KindReceiver, Buf: *rcvbuf}
-	if *fecK > 0 {
-		spec.Fec = session.FecConfig{Enabled: true, K: *fecK}
+	sess := session.New(session.Config{})
+	rcv, err := sess.OpenReceiverFlow(tr, session.FlowSpec{
+		Kind: session.KindReceiver,
+		Buf:  *rcvbuf,
+		Fec:  *fecK,
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hrmc-recv: %v\n", err)
+		os.Exit(1)
 	}
-	rcv := core.NewReceiver(tr, spec.ReceiverConfig())
 	fmt.Fprintf(os.Stderr, "hrmc-recv: joined %s, waiting for data\n", *group)
 	start := time.Now()
 	n, err := io.Copy(dst, rcv)
-	rcv.Close()
+	sess.Abort()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hrmc-recv: %v\n", err)
 		os.Exit(1)

@@ -16,9 +16,9 @@ import (
 	"time"
 
 	"repro/internal/app"
-	"repro/internal/core"
 	"repro/internal/receiver"
 	"repro/internal/sender"
+	"repro/internal/session"
 	"repro/internal/transport"
 )
 
@@ -37,10 +37,16 @@ func main() {
 		transport.WithDelay(2*time.Millisecond),
 	)
 
+	sess := session.New(session.Config{})
+
 	var wg sync.WaitGroup
-	rcvs := make([]*core.Receiver, nReceivers)
+	rcvs := make([]*session.ReceiverFlow, nReceivers)
 	for i := 0; i < nReceivers; i++ {
-		rcvs[i] = core.NewReceiver(hub.Endpoint(), receiver.Config{RcvBuf: buffers})
+		rcv, err := sess.OpenReceiver(hub.Endpoint(), receiver.Config{RcvBuf: buffers})
+		if err != nil {
+			log.Fatalf("open receiver: %v", err)
+		}
+		rcvs[i] = rcv
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -52,10 +58,13 @@ func main() {
 		}(i)
 	}
 
-	snd := core.NewSender(hub.Endpoint(), sender.Config{
+	snd, err := sess.OpenSender(hub.Endpoint(), sender.Config{
 		SndBuf:            buffers,
 		ExpectedReceivers: nReceivers,
 	})
+	if err != nil {
+		log.Fatalf("open sender: %v", err)
+	}
 	fmt.Printf("sending %d KiB through %d%% loss with %d KiB buffers...\n",
 		size>>10, int(lossRate*100), buffers>>10)
 	start := time.Now()
@@ -66,6 +75,9 @@ func main() {
 		log.Fatalf("close: %v", err)
 	}
 	wg.Wait()
+	if err := sess.Close(); err != nil {
+		log.Fatalf("session close: %v", err)
+	}
 
 	st := snd.Stats()
 	fmt.Printf("done in %v\n", time.Since(start).Round(time.Millisecond))
@@ -77,6 +89,5 @@ func main() {
 		rs := r.Stats()
 		fmt.Printf("receiver %d: %d dups discarded, %d NAKs sent (%d retried), %d probes answered\n",
 			i, rs.Duplicates, rs.NaksSent, rs.NakRetries, rs.ProbesReceived)
-		r.Close()
 	}
 }

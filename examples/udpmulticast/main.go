@@ -21,9 +21,9 @@ import (
 	"time"
 
 	"repro/internal/app"
-	"repro/internal/core"
 	"repro/internal/receiver"
 	"repro/internal/sender"
+	"repro/internal/session"
 	"repro/internal/udpmcast"
 )
 
@@ -55,9 +55,13 @@ func main() {
 		return
 	}
 
+	sess := session.New(session.Config{})
 	var wg sync.WaitGroup
 	for i, rt := range rts {
-		rcv := core.NewReceiver(rt, receiver.Config{RcvBuf: 256 << 10})
+		rcv, err := sess.OpenReceiver(rt, receiver.Config{RcvBuf: 256 << 10})
+		if err != nil {
+			log.Fatalf("open receiver %d: %v", i, err)
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -67,14 +71,16 @@ func main() {
 			}
 			fmt.Printf("receiver %d: %d bytes over real UDP multicast, identical=%v\n",
 				i, len(got), bytes.Equal(got, payload))
-			rcv.Close()
 		}(i)
 	}
 
-	snd := core.NewSender(st, sender.Config{
+	snd, err := sess.OpenSender(st, sender.Config{
 		SndBuf:            256 << 10,
 		ExpectedReceivers: nReceivers,
 	})
+	if err != nil {
+		log.Fatalf("open sender: %v", err)
+	}
 	start := time.Now()
 	if _, err := snd.Write(payload); err != nil {
 		log.Fatalf("write: %v", err)
@@ -92,6 +98,9 @@ func main() {
 	}
 	wg.Wait()
 	el := time.Since(start)
+	if err := sess.Close(); err != nil {
+		log.Fatalf("session close: %v", err)
+	}
 	fmt.Printf("sender: done in %v (%.2f Mbps), %d members served\n",
 		el.Round(time.Millisecond), float64(len(payload))*8/el.Seconds()/1e6, nReceivers)
 }

@@ -8,7 +8,11 @@
 // verify end-to-end integrity without shipping the file around.
 package app
 
-import "repro/internal/sim"
+import (
+	"io"
+
+	"repro/internal/sim"
+)
 
 // PatternByte returns the stream byte at offset i: a cheap, position-
 // dependent pattern with no short period.
@@ -34,6 +38,21 @@ func VerifyPattern(buf []byte, off int64) int {
 		}
 	}
 	return -1
+}
+
+// NewPatternReader returns a reader of the n pattern bytes at offsets
+// [off, off+n). Each Read continues at the next offset, so the stream
+// does not depend on read sizes and VerifyPattern checks it.
+func NewPatternReader(off, n int64) io.Reader {
+	return io.LimitReader(&patternReader{off: off}, n)
+}
+
+type patternReader struct{ off int64 }
+
+func (p *patternReader) Read(b []byte) (int, error) {
+	FillPattern(b, p.off)
+	p.off += int64(len(b))
+	return len(b), nil
 }
 
 // Source produces the outgoing stream at the sender.

@@ -2,6 +2,7 @@ package app
 
 import (
 	"bytes"
+	"io"
 	"testing"
 	"testing/quick"
 
@@ -50,6 +51,34 @@ func TestPropPatternChunked(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPatternReaderChunkIndependent reads the same stretch of the
+// pattern in uneven chunk sizes: the bytes must not depend on them, must
+// stop at n, and must verify at the reader's starting offset.
+func TestPatternReaderChunkIndependent(t *testing.T) {
+	const off, n = 12345, 10000
+	for _, chunk := range []int{1, 7, 4096, 1 << 16} {
+		r := NewPatternReader(off, n)
+		var got []byte
+		buf := make([]byte, chunk)
+		for {
+			k, err := r.Read(buf)
+			got = append(got, buf[:k]...)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(got) != n {
+			t.Fatalf("chunk %d: read %d bytes, want %d", chunk, len(got), n)
+		}
+		if i := VerifyPattern(got, off); i != -1 {
+			t.Fatalf("chunk %d: pattern mismatch at byte %d", chunk, i)
+		}
 	}
 }
 

@@ -65,7 +65,7 @@ func (m *memSinks) get(name string) *memBuf {
 // so every flow carries a distinct, reproducible stream.
 func seededSource(seed func(name string) int64) func(FlowSpec) (io.ReadCloser, error) {
 	return func(spec FlowSpec) (io.ReadCloser, error) {
-		return io.NopCloser(&patternSource{off: seed(spec.Name), remaining: spec.Size}), nil
+		return io.NopCloser(app.NewPatternReader(seed(spec.Name), spec.Size)), nil
 	}
 }
 

@@ -6,8 +6,9 @@
 // (the receiving side). SO_SNDBUF/SO_RCVBUF set the kernel-buffer
 // analogues that the paper's evaluation sweeps.
 //
-// It is a thin, faithful veneer over internal/core; new code that does
-// not need the socket idiom should use core directly.
+// Each socket is one flow on its own internal/session Session; new code
+// that does not need the socket idiom should open flows on a session
+// directly.
 package hrmcsock
 
 import (
@@ -17,9 +18,9 @@ import (
 	"strconv"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/receiver"
 	"repro/internal/sender"
+	"repro/internal/session"
 	"repro/internal/transport"
 	"repro/internal/udpmcast"
 )
@@ -74,8 +75,10 @@ type Sock struct {
 	// transportOverride lets tests substitute an in-memory transport.
 	transportOverride transport.Transport
 
-	snd    *core.Sender
-	rcv    *core.Receiver
+	// sess is the socket's private session, hosting its one flow.
+	sess   *session.Session
+	snd    *session.SenderFlow
+	rcv    *session.ReceiverFlow
 	closed bool
 }
 
@@ -165,10 +168,16 @@ func (s *Sock) joinLocked(group string) error {
 			return fmt.Errorf("hrmcsock: join %s: %w", group, err)
 		}
 	}
-	s.rcv = core.NewReceiver(tr, receiver.Config{
+	sess := session.New(session.Config{})
+	f, err := sess.OpenReceiver(tr, receiver.Config{
 		LocalPort: s.port,
 		RcvBuf:    s.rcvBuf,
 	})
+	if err != nil {
+		sess.Abort()
+		return err
+	}
+	s.sess, s.rcv = sess, f
 	return nil
 }
 
@@ -203,12 +212,18 @@ func (s *Sock) Connect(group string) error {
 			remote = uint16(p)
 		}
 	}
-	s.snd = core.NewSender(tr, sender.Config{
+	sess := session.New(session.Config{})
+	f, err := sess.OpenSender(tr, sender.Config{
 		LocalPort:         s.port,
 		RemotePort:        remote,
 		SndBuf:            s.sndBuf,
 		ExpectedReceivers: s.expected,
 	})
+	if err != nil {
+		sess.Abort()
+		return err
+	}
+	s.sess, s.snd = sess, f
 	return nil
 }
 
@@ -252,15 +267,17 @@ func (s *Sock) Close() error {
 		return nil
 	}
 	s.closed = true
-	snd, rcv := s.snd, s.rcv
+	sess, sending := s.sess, s.snd != nil
 	s.mu.Unlock()
-	if snd != nil {
-		return snd.Close()
+	switch {
+	case sess == nil:
+		return nil
+	case sending:
+		return sess.Close() // drains the sender flow first
+	default:
+		sess.Abort()
+		return nil
 	}
-	if rcv != nil {
-		return rcv.Close()
-	}
-	return nil
 }
 
 // UseTransport substitutes the packet transport before Connect or the

@@ -348,9 +348,9 @@ func TestFecCachePoolBalance(t *testing.T) {
 	var want bytes.Buffer
 	now := sim.Time(0)
 	feed := func(p *packet.Packet) {
-		retained, err := r.HandleEnvelope(now, p)
+		retained, err := r.HandleFrom(now, 0, p)
 		if err != nil {
-			t.Fatalf("HandleEnvelope: %v", err)
+			t.Fatalf("HandleFrom: %v", err)
 		}
 		if !retained {
 			packet.Put(p)

@@ -119,7 +119,7 @@ type Config struct {
 	// RecyclePackets makes the receiver return retained data packets to
 	// the shared pool (packet.Put) once the application consumes them —
 	// the zero-copy hold-until-release path. Enable only when every
-	// packet fed to HandlePacket/HandleEnvelope is pool-owned (the
+	// packet fed to HandlePacket/HandleFrom is pool-owned (the
 	// session's batched receive loop guarantees this). The FEC/local-
 	// recovery group cache holds its own pool references, so recycling
 	// stays on under FEC.
@@ -547,25 +547,18 @@ func (r *Receiver) emitTo(p *packet.Packet, to packet.NodeID) {
 // HandlePacket processes one packet from the sender. It corresponds to
 // hrmc_master_rcv on the receive path.
 func (r *Receiver) HandlePacket(now sim.Time, p *packet.Packet) error {
-	_, err := r.HandleEnvelope(now, p)
+	_, err := r.HandleFrom(now, 0, p)
 	return err
 }
 
-// HandleEnvelope is HandlePacket for pool-owned packets: it
-// additionally reports whether the machine retained p (stored it in
-// the receive window, to be released when the application consumes
-// it). When retained is false the caller still owns p and should
-// release it (packet.Put); when true, ownership transferred to the
-// machine. Callers that know the source address use HandleFrom instead
-// so a repair head can attribute member feedback.
-func (r *Receiver) HandleEnvelope(now sim.Time, p *packet.Packet) (retained bool, err error) {
-	return r.HandleFrom(now, 0, p)
-}
-
-// HandleFrom is HandleEnvelope with the source's unicast address, which
+// HandleFrom is HandlePacket with the source's unicast address, which
 // a repair head needs to attribute downstream feedback (JOIN, UPDATE,
 // LEAVE, HEAD_NAK). from may be zero when unknown; member feedback is
-// then rejected.
+// then rejected. It also reports whether the machine retained p
+// (stored it in the receive window, to be released when the
+// application consumes it). When retained is false the caller still
+// owns p and should release it (packet.Put); when true, ownership
+// transferred to the machine.
 func (r *Receiver) HandleFrom(now sim.Time, from packet.NodeID, p *packet.Packet) (retained bool, err error) {
 	if r.cfg.RepairHead != 0 && from != 0 && from == r.cfg.RepairHead {
 		r.onHeadTraffic(now)

@@ -37,15 +37,15 @@ func TestSessionFecDatapathPoolBalance(t *testing.T) {
 		data := make([]byte, size)
 		app.FillPattern(data, int64(g)<<20)
 		rf, err := sess.OpenReceiver(hub.Endpoint(), receiver.Config{
-			LocalPort: rp, RemotePort: sp, RcvBuf: 64 << 10,
-		}, WithFec(FecConfig{Enabled: true, K: 8}))
+			LocalPort: rp, RemotePort: sp, RcvBuf: 64 << 10, FECGroupSize: 8,
+		})
 		if err != nil {
 			t.Fatalf("OpenReceiver g%d: %v", g, err)
 		}
 		sf, err := sess.OpenSender(hub.Endpoint(), sender.Config{
 			LocalPort: sp, RemotePort: rp, SndBuf: 64 << 10,
-			ExpectedReceivers: 1, Rate: fastRate(),
-		}, WithFec(FecConfig{Enabled: true, K: 8}))
+			ExpectedReceivers: 1, Rate: fastRate(), FECGroupSize: 8,
+		})
 		if err != nil {
 			t.Fatalf("OpenSender g%d: %v", g, err)
 		}
@@ -83,7 +83,7 @@ func TestSessionFecDatapathPoolBalance(t *testing.T) {
 		recovered += rf.Stats().FecRecovered
 	}
 	if parity == 0 {
-		t.Error("no parity sent — FEC flow option did not reach the senders")
+		t.Error("no parity sent — FECGroupSize did not reach the senders")
 	}
 	if recovered == 0 {
 		t.Error("no local recoveries across 2%-loss flows — parity path exercised nothing")

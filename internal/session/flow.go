@@ -56,38 +56,6 @@ func WithGroup(g transport.GroupID) FlowOption {
 	return func(f *flow) { f.group = g }
 }
 
-// DefaultFecGroupSize is the parity group size K used when FEC is
-// enabled without an explicit K.
-const DefaultFecGroupSize = 8
-
-// FecConfig enables per-flow forward error correction: the sender
-// multicasts one best-effort XOR parity packet per K data packets, and
-// the receiver repairs single losses locally before falling back to a
-// NAK. Both ends of a flow must agree on it.
-type FecConfig struct {
-	// Enabled turns the parity pipeline on.
-	Enabled bool
-	// K is the parity group size; 0 means DefaultFecGroupSize. Clamped
-	// to [2, fec.MaxGroup] by the machines.
-	K int
-}
-
-// GroupSize resolves the effective group size of an enabled config.
-func (c FecConfig) GroupSize() int {
-	if c.K <= 0 {
-		return DefaultFecGroupSize
-	}
-	return c.K
-}
-
-// WithFec sets the flow's forward-error-correction parameters. On a
-// sender it drives the parity pipeline; on a receiver it arms local
-// parity recovery and defers first NAKs long enough for parity to win
-// the race.
-func WithFec(fc FecConfig) FlowOption {
-	return func(f *flow) { f.fec = fc }
-}
-
 // anyFlow is what the session loops drive: either a *SenderFlow or a
 // *ReceiverFlow.
 type anyFlow interface {
@@ -117,7 +85,6 @@ type flow struct {
 	label  string
 	port   uint16
 	weight float64
-	fec    FecConfig
 	// group is the flow's multicast group on a shared GroupTransport
 	// (see WithGroup); immutable after init, so the receive and send
 	// paths read it without the flow lock.
@@ -518,7 +485,7 @@ func (f *ReceiverFlow) handleBatch(now sim.Time, env []transport.Envelope) {
 		// downstream member feedback (JOIN/UPDATE/LEAVE/HEAD_NAK).
 		retained, _ := f.m.HandleFrom(now, env[i].From, env[i].Pkt)
 		if !retained {
-			transport.PutPacket(env[i].Pkt)
+			packet.Put(env[i].Pkt)
 		}
 		env[i] = transport.Envelope{}
 	}

@@ -18,9 +18,9 @@
 //     the 20-byte H-RMC header carries src/dst ports end to end, so
 //     flows sharing a transport need no extra framing. A flow bound
 //     to port 0 acts as the wildcard and receives every packet with
-//     no exact port binding, which is how single-flow users
-//     (internal/core) keep working unconfigured. Packets bound for no
-//     flow are recycled into the shared transport packet pool;
+//     no exact port binding, which is how a transport carrying one
+//     flow works unconfigured. Packets bound for no flow are recycled
+//     into the shared transport packet pool;
 //   - an optional aggregate bandwidth budget: a weighted fair-share
 //     governor re-apportions the configured line rate among the
 //     sender flows still transmitting, scaling each flow's
@@ -31,8 +31,9 @@
 // Close drains gracefully (a sender blocks until every receiver is
 // known to hold the stream), Snapshot reports per-flow and aggregate
 // counters at any time, and Session.Close drains every flow and shuts
-// the loops and transports down. internal/core remains the single-flow
-// convenience API, now a thin wrapper over a one-flow Session.
+// the loops and transports down. The session is the one live API:
+// internal/hrmcsock's sockets, the hrmc-send/hrmc-recv CLIs and
+// internal/control's admitted flows all open their flows on one.
 package session
 
 import (
@@ -671,7 +672,7 @@ func (s *Session) runRecv(l *recvLoop) {
 			f := flows[i]
 			flows[i] = nil
 			if f == nil {
-				transport.PutPacket(env[i].Pkt)
+				packet.Put(env[i].Pkt)
 				env[i] = transport.Envelope{}
 				continue
 			}
@@ -681,7 +682,7 @@ func (s *Session) runRecv(l *recvLoop) {
 			// rather than feeding a foreign group's packet to the
 			// machine. (flow.group is immutable after init.)
 			if fg := f.base().group; fg != 0 && env[i].Group != 0 && env[i].Group != fg {
-				transport.PutPacket(env[i].Pkt)
+				packet.Put(env[i].Pkt)
 				env[i] = transport.Envelope{}
 				continue
 			}
@@ -773,9 +774,6 @@ func (s *Session) detach(f anyFlow) {
 func (s *Session) OpenSender(tr transport.Transport, cfg sender.Config, opts ...FlowOption) (*SenderFlow, error) {
 	f := &SenderFlow{}
 	f.init(s, KindSender, tr, cfg.LocalPort, opts)
-	if f.fec.Enabled {
-		cfg.FECGroupSize = f.fec.GroupSize()
-	}
 	if cfg.Grain <= 0 {
 		cfg.Grain = s.grain
 	}
@@ -812,9 +810,6 @@ func (s *Session) OpenReceiver(tr transport.Transport, cfg receiver.Config, opts
 	cfg.ProgressUpdates = true
 	f := &ReceiverFlow{}
 	f.init(s, KindReceiver, tr, cfg.LocalPort, opts)
-	if f.fec.Enabled {
-		cfg.FECGroupSize = f.fec.GroupSize()
-	}
 	if cfg.Grain <= 0 {
 		cfg.Grain = s.grain
 	}

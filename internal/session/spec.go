@@ -40,9 +40,10 @@ type FlowSpec struct {
 	// MinRateBps/MaxRateBps override the flow-control floor and ceiling
 	// in bytes/second (senders; zero keeps the defaults).
 	MinRateBps, MaxRateBps float64
-	// Fec configures per-flow forward error correction; both ends of a
-	// group must agree.
-	Fec FecConfig
+	// Fec is the forward-error-correction parity group size K: one XOR
+	// parity packet per K data packets, 0 for off. Both ends of a group
+	// must agree.
+	Fec int
 	// Head makes a receiver a repair head for its group (hierarchical
 	// recovery).
 	Head bool
@@ -61,18 +62,14 @@ type FlowSpec struct {
 }
 
 // SenderConfig builds the sender machine configuration the spec
-// describes, complete enough for internal/core callers; session flows
-// opened through OpenSenderFlow re-derive FEC from Options (WithFec),
-// which resolves to the same group size.
+// describes.
 func (sp FlowSpec) SenderConfig() sender.Config {
 	cfg := sender.Config{
 		LocalPort:         sp.LocalPort,
 		RemotePort:        sp.PeerPort,
 		SndBuf:            sp.Buf,
 		ExpectedReceivers: sp.Receivers,
-	}
-	if sp.Fec.Enabled {
-		cfg.FECGroupSize = sp.Fec.GroupSize()
+		FECGroupSize:      sp.Fec,
 	}
 	if sp.MinRateBps > 0 || sp.MaxRateBps > 0 {
 		rc := rate.DefaultConfig()
@@ -88,18 +85,14 @@ func (sp FlowSpec) SenderConfig() sender.Config {
 }
 
 // ReceiverConfig builds the receiver machine configuration the spec
-// describes, complete enough for internal/core callers; session flows
-// opened through OpenReceiverFlow re-derive FEC from Options (WithFec),
-// which resolves to the same group size.
+// describes.
 func (sp FlowSpec) ReceiverConfig() receiver.Config {
 	cfg := receiver.Config{
 		LocalPort:      sp.LocalPort,
 		RemotePort:     sp.PeerPort,
 		RcvBuf:         sp.Buf,
 		JoinInProgress: sp.JoinInProgress,
-	}
-	if sp.Fec.Enabled {
-		cfg.FECGroupSize = sp.Fec.GroupSize()
+		FECGroupSize:   sp.Fec,
 	}
 	if sp.Head {
 		cfg.Head = &repair.Config{}
@@ -118,9 +111,6 @@ func (sp FlowSpec) Options() []FlowOption {
 	}
 	if sp.Weight > 0 {
 		opts = append(opts, WithWeight(sp.Weight))
-	}
-	if sp.Fec.Enabled {
-		opts = append(opts, WithFec(sp.Fec))
 	}
 	if sp.Group != 0 {
 		opts = append(opts, WithGroup(sp.Group))

@@ -26,10 +26,23 @@ type Envelope struct {
 
 // BatchTransport moves batches of encoded H-RMC packets between one
 // sender and many receivers. Implementations must be safe for
-// concurrent use. Packet buffers obey the pool ownership rules
-// documented on GetPacket: RecvBatch transfers ownership of each
-// delivered packet to the caller (who may release it with PutPacket);
-// SendBatch borrows the packets only for the duration of the call.
+// concurrent use. Packets come from the process-wide reference-counted
+// pool in internal/packet (packet/pool.go has its full rules), and
+// cross this interface as follows:
+//
+//   - RecvBatch hands packet ownership to the caller. The caller either
+//     releases the packet with packet.Put once it is done — the
+//     demultiplexer does this for packets no flow is bound to — or
+//     hands ownership on. A protocol machine that retains the payload
+//     (the receive window's hold-until-release buffering) releases it
+//     on in-order delivery to the app.
+//   - A packet passed to SendBatch remains owned by the sender;
+//     implementations copy or encode it before returning and never
+//     release it themselves. Senders that need the packet to outlive a
+//     concurrent release (the session's shared send poller) cover the
+//     overlap with packet.Retain.
+//   - After the final packet.Put the packet and its payload must not be
+//     touched: the pool will hand both to an unrelated receive path.
 type BatchTransport interface {
 	// SendBatch transmits every envelope, each to the whole group
 	// (multicast) or to one node. It returns the first per-envelope
@@ -71,3 +84,13 @@ type FilteredTransport interface {
 //
 // Deprecated: use tr directly.
 func Batched(tr Transport) BatchTransport { return tr }
+
+// ReleaseEnvelopes returns every envelope's packet to the pool and
+// clears the slots, for callers that consumed a whole RecvBatch
+// without retaining anything.
+func ReleaseEnvelopes(env []Envelope) {
+	for i := range env {
+		packet.Put(env[i].Pkt)
+		env[i] = Envelope{}
+	}
+}

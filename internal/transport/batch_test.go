@@ -106,7 +106,7 @@ func TestHubBatchLossDelayBitExact(t *testing.T) {
 		if !bytes.Equal(e.Pkt.Payload, want) {
 			t.Fatalf("envelope %d payload corrupted (seq %d)", i, e.Pkt.Seq)
 		}
-		PutPacket(e.Pkt)
+		packet.Put(e.Pkt)
 	}
 }
 
@@ -132,7 +132,7 @@ func TestHubConcurrentBatchEndpointsAndLoss(t *testing.T) {
 				return
 			}
 			for i := 0; i < n; i++ {
-				PutPacket(buf[i].Pkt)
+				packet.Put(buf[i].Pkt)
 				buf[i] = Envelope{}
 			}
 		}
@@ -173,19 +173,19 @@ func TestHubConcurrentBatchEndpointsAndLoss(t *testing.T) {
 }
 
 // TestPacketPoolRoundTrip checks the pool contract: a released packet
-// comes back zeroed but keeps its payload capacity, and ClonePacket is
+// comes back zeroed but keeps its payload capacity, and clonePacket is
 // a deep copy.
 func TestPacketPoolRoundTrip(t *testing.T) {
-	p := GetPacket()
+	p := packet.Get()
 	if p.Type != 0 || len(p.Payload) != 0 {
 		t.Fatalf("fresh pooled packet not zeroed: %+v", p)
 	}
 	p.Header = packet.Header{Type: packet.TypeData, Seq: 7, Length: 3}
 	p.Payload = append(p.Payload, 1, 2, 3)
 
-	c := ClonePacket(p)
+	c := clonePacket(p)
 	if c == p || &c.Payload[0] == &p.Payload[0] {
-		t.Fatal("ClonePacket must deep-copy")
+		t.Fatal("clonePacket must deep-copy")
 	}
 	if c.Seq != 7 || !bytes.Equal(c.Payload, []byte{1, 2, 3}) {
 		t.Fatalf("clone mismatch: %+v", c)
@@ -195,14 +195,14 @@ func TestPacketPoolRoundTrip(t *testing.T) {
 		t.Fatal("clone shares payload storage with original")
 	}
 
-	PutPacket(c)
-	r := GetPacket()
+	packet.Put(c)
+	r := packet.Get()
 	// sync.Pool gives no identity guarantee, but whatever comes back
 	// must be zeroed with payload length 0.
 	if r.Type != 0 || r.Seq != 0 || len(r.Payload) != 0 {
 		t.Fatalf("reused packet not zeroed: %+v", r)
 	}
-	PutPacket(r)
-	PutPacket(p)
-	ReleaseEnvelopes([]Envelope{{Pkt: GetPacket()}, {}})
+	packet.Put(r)
+	packet.Put(p)
+	ReleaseEnvelopes([]Envelope{{Pkt: packet.Get()}, {}})
 }

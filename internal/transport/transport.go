@@ -8,7 +8,7 @@
 // BatchTransport in batch.go): implementations move []Envelope batches
 // so one syscall or lock acquisition is amortized over many packets,
 // and hot receive paths draw packet buffers from the shared pool
-// (GetPacket/PutPacket). Transport adds per-packet Send and Recv on
+// (packet.Get/packet.Put). Transport adds per-packet Send and Recv on
 // top, as batch-size-1 adapters.
 package transport
 
@@ -326,7 +326,7 @@ func (e *hubEndpoint) SendBatch(env []Envelope) error {
 	// so the caller regains ownership of its batch even under delay.
 	for _, d := range sb.dels {
 		for i := range d.items {
-			d.items[i].pkt = ClonePacket(d.items[i].pkt)
+			d.items[i].pkt = clonePacket(d.items[i].pkt)
 		}
 	}
 	deliver := func() {
@@ -343,6 +343,14 @@ func (e *hubEndpoint) SendBatch(env []Envelope) error {
 	return nil
 }
 
+// clonePacket deep-copies p into a pooled packet, recycling both the
+// packet struct and the payload backing array.
+func clonePacket(p *packet.Packet) *packet.Packet {
+	q := packet.GetBuf(len(p.Payload))
+	p.CloneInto(q)
+	return q
+}
+
 // enqueue appends a whole delivery batch to the inbox under one lock
 // acquisition. Overflow beyond hubInboxDepth behaves like loss, and the
 // dropped clones go straight back to the packet pool.
@@ -350,7 +358,7 @@ func (e *hubEndpoint) enqueue(items []hubItem) {
 	select {
 	case <-e.doneCh():
 		for _, it := range items {
-			PutPacket(it.pkt)
+			packet.Put(it.pkt)
 		}
 		return
 	default:
@@ -367,7 +375,7 @@ func (e *hubEndpoint) enqueue(items []hubItem) {
 	space := hubInboxDepth - len(e.queue)
 	for i, it := range items {
 		if i >= space {
-			PutPacket(it.pkt)
+			packet.Put(it.pkt)
 			continue
 		}
 		e.queue = append(e.queue, it)

@@ -53,7 +53,7 @@ func collectSeqs(t *testing.T, bt transport.BatchTransport, bufLen, want int) (m
 		calls++
 		for i := 0; i < n; i++ {
 			seqs[buf[i].Pkt.Seq]++
-			transport.PutPacket(buf[i].Pkt)
+			packet.Put(buf[i].Pkt)
 			buf[i] = transport.Envelope{}
 		}
 	}
@@ -94,7 +94,7 @@ func TestSenderRecvBatchPartialFill(t *testing.T) {
 			} else if buf[i].From != from {
 				t.Fatalf("one source got two node IDs: %v and %v", from, buf[i].From)
 			}
-			transport.PutPacket(buf[i].Pkt)
+			packet.Put(buf[i].Pkt)
 			buf[i] = transport.Envelope{}
 		}
 	}
@@ -130,7 +130,7 @@ func TestSenderBatchAdapterEquivalence(t *testing.T) {
 			t.Fatalf("Recv %d: seq %d", i, p.Seq)
 		}
 		ids = append(ids, id)
-		transport.PutPacket(p)
+		packet.Put(p)
 	}
 	if ids[0] != ids[1] || ids[1] != ids[2] {
 		t.Errorf("adapter re-assigned node IDs across calls: %v", ids)

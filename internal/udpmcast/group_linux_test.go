@@ -59,7 +59,7 @@ func groupMulticastWorks(t *testing.T) bool {
 		}
 		g := buf[0].Group
 		for i := 0; i < n; i++ {
-			transport.PutPacket(buf[i].Pkt)
+			packet.Put(buf[i].Pkt)
 		}
 		got <- g
 	}()
@@ -97,7 +97,7 @@ func recvTagged(t *testing.T, gt *GroupTransport, want transport.GroupID, deadli
 			}
 			for i := 0; i < n; i++ {
 				g, from := buf[i].Group, buf[i].From
-				transport.PutPacket(buf[i].Pkt)
+				packet.Put(buf[i].Pkt)
 				if g == want {
 					ch <- res{from: from, ok: true}
 					return

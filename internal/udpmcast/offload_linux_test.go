@@ -265,7 +265,7 @@ func TestOffloadBitExactLoopback(t *testing.T) {
 				if buf[i].Pkt.Type == packet.TypeData {
 					got[buf[i].Pkt.Seq] = string(buf[i].Pkt.Payload)
 				}
-				transport.PutPacket(buf[i].Pkt)
+				packet.Put(buf[i].Pkt)
 				buf[i] = transport.Envelope{}
 			}
 		}

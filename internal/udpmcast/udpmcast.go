@@ -372,7 +372,7 @@ func (t *GroupTransport) readLoop(br *batchReader) {
 				// Copy-mode decode: the batch outlives the reader slots.
 				p := packet.GetBuf(len(d))
 				if err := packet.DecodeInto(p, d); err != nil {
-					transport.PutPacket(p)
+					packet.Put(p)
 					return
 				}
 				// Resolve the source ID lazily, and only when a segment
@@ -416,7 +416,7 @@ func (t *GroupTransport) push(env []transport.Envelope) {
 	select {
 	case <-t.closed:
 		for i := range env {
-			transport.PutPacket(env[i].Pkt)
+			packet.Put(env[i].Pkt)
 		}
 		return
 	default:
@@ -433,7 +433,7 @@ func (t *GroupTransport) push(env []transport.Envelope) {
 	space := rxInboxDepth - len(t.queue)
 	for i := range env {
 		if i >= space {
-			transport.PutPacket(env[i].Pkt)
+			packet.Put(env[i].Pkt)
 			t.cnt.inboxDrops.Add(1)
 			continue
 		}

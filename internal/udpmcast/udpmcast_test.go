@@ -9,10 +9,10 @@ import (
 	"time"
 
 	"repro/internal/app"
-	"repro/internal/core"
 	"repro/internal/packet"
 	"repro/internal/receiver"
 	"repro/internal/sender"
+	"repro/internal/session"
 	"repro/internal/transport"
 )
 
@@ -96,23 +96,30 @@ func TestUDPMulticastTransfer(t *testing.T) {
 	want := make([]byte, size)
 	app.FillPattern(want, 0)
 
+	sess := session.New(session.Config{})
+	defer sess.Abort()
 	var wg sync.WaitGroup
 	results := make([][]byte, n)
 	for i, rt := range rts {
+		rc, err := sess.OpenReceiver(rt, receiver.Config{RcvBuf: 64 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
 		wg.Add(1)
-		go func(i int, rt *GroupTransport) {
+		go func(i int) {
 			defer wg.Done()
-			rc := core.NewReceiver(rt, receiver.Config{RcvBuf: 64 << 10})
 			got, err := io.ReadAll(rc)
 			if err != nil {
 				t.Errorf("receiver %d: %v", i, err)
 			}
 			results[i] = got
-			rc.Close()
-		}(i, rt)
+		}(i)
 	}
 
-	sc := core.NewSender(st, sender.Config{SndBuf: 64 << 10, ExpectedReceivers: n})
+	sc, err := sess.OpenSender(st, sender.Config{SndBuf: 64 << 10, ExpectedReceivers: n})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := sc.Write(want); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +160,7 @@ func recvSeq(t *testing.T, tr *GroupTransport, seq uint32) transport.Envelope {
 				transport.ReleaseEnvelopes(buf[i+1 : n])
 				return e
 			}
-			transport.PutPacket(e.Pkt)
+			packet.Put(e.Pkt)
 		}
 	}
 }
@@ -182,7 +189,7 @@ func TestSingleGroupEndpointsAddressPeers(t *testing.T) {
 		t.Fatalf("Group 0 multicast: %v", err)
 	}
 	got := recvSeq(t, rt, 501)
-	transport.PutPacket(got.Pkt)
+	packet.Put(got.Pkt)
 	if got.From < peerIDBase {
 		t.Fatalf("receiver attributed the multicast to node %v, want a learned ID >= %v", got.From, peerIDBase)
 	}
@@ -195,7 +202,7 @@ func TestSingleGroupEndpointsAddressPeers(t *testing.T) {
 		t.Fatalf("unicast reply to the learned sender ID: %v", err)
 	}
 	back := recvSeq(t, st, 502)
-	transport.PutPacket(back.Pkt)
+	packet.Put(back.Pkt)
 	if back.From < peerIDBase {
 		t.Errorf("sender attributed the reply to node %v, want a learned ID >= %v", back.From, peerIDBase)
 	}
